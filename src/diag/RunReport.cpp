@@ -243,8 +243,7 @@ std::string diag::renderRunReportJson(const RunReport &R) {
   appendUInt(Out, ReportSchemaVersion);
   Out += ",\"tool\":";
   escape(Out, R.Tool);
-  Out += ",\"backend\":";
-  escape(Out, R.Backend);
+  Out += ",\"backend\":\"espbags\"";
   Out += ",\"mode\":";
   escape(Out, R.Mode);
   Out += ",\n \"jobs\":[";
@@ -293,6 +292,8 @@ DpstKind parseDpstKind(const std::string &S) {
     return DpstKind::Scope;
   if (S == "step")
     return DpstKind::Step;
+  if (S == "future")
+    return DpstKind::Future;
   return DpstKind::Root;
 }
 

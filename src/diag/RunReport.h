@@ -125,14 +125,13 @@ struct JobReport {
 /// The whole document.
 struct RunReport {
   std::string Tool;    ///< "races" | "repair" | "batch"
-  std::string Backend; ///< detection backend name
   std::string Mode;    ///< "mrw" | "srw"
   std::vector<JobReport> Jobs;
 };
 
 /// Serializes \p R as the versioned JSON document (stable member order;
-/// witness sections are byte-identical across backends for identical
-/// reports).
+/// witness sections are byte-identical for identical reports). The
+/// "backend" member is always "espbags", the one production detector.
 std::string renderRunReportJson(const RunReport &R);
 
 /// Writes the document to \p Path. False on I/O failure (message in

@@ -43,6 +43,8 @@ const char *diag::dpstKindName(DpstKind K) {
     return "scope";
   case DpstKind::Step:
     return "step";
+  case DpstKind::Future:
+    return "future";
   }
   return "?";
 }
@@ -150,6 +152,13 @@ AccessDesc describeAccess(const DpstNode *Step, AccessKind Kind, MemLoc Loc,
   return A;
 }
 
+/// The statement that spawned task node \p N (an async or a future).
+const Stmt *taskStmt(const DpstNode *N) {
+  if (N->isFuture())
+    return N->futureStmt();
+  return N->asyncStmt();
+}
+
 std::vector<SpineEntry> taskSpine(const DpstNode *Step,
                                   const SourceManager *SM) {
   std::vector<SpineEntry> Out;
@@ -159,8 +168,8 @@ std::vector<SpineEntry> taskSpine(const DpstNode *Step,
     SpineEntry E;
     E.Id = N->id();
     E.Kind = N->kind();
-    if (N->isAsync())
-      E.Pos = resolvePos(SM, stmtLoc(N->asyncStmt()));
+    if (N->isTaskNode())
+      E.Pos = resolvePos(SM, stmtLoc(taskStmt(N)));
     else if (N->isFinish())
       E.Pos = resolvePos(SM, stmtLoc(N->finishStmt()));
     Out.push_back(std::move(E));
@@ -208,14 +217,15 @@ std::vector<RaceWitness> diag::buildWitnesses(const Dpst &Tree,
     W.LcaKind = Lca->kind();
 
     // Theorem 1: the (earlier-side) non-scope child of the NS-LCA is the
-    // async whose lack of a join leaves the two steps unordered.
+    // task (async or future) whose lack of a join leaves the two steps
+    // unordered.
     const DpstNode *Earlier =
         Tree.isLeftOf(R.Src, R.Snk) ? R.Src : R.Snk;
     const DpstNode *Edge = Tree.nonScopeChildToward(Lca, Earlier);
-    if (Edge && Edge->isAsync()) {
+    if (Edge && Edge->isTaskNode()) {
       W.HasBreakingAsync = true;
       W.BreakingAsyncId = Edge->id();
-      W.BreakingAsyncPos = resolvePos(SM, stmtLoc(Edge->asyncStmt()));
+      W.BreakingAsyncPos = resolvePos(SM, stmtLoc(taskStmt(Edge)));
     }
 
     W.SrcSpine = taskSpine(R.Src, SM);
@@ -268,6 +278,16 @@ void appendSpine(std::string &Out, const char *Label,
   Out += '\n';
 }
 
+/// The kind of the witness's breaking task node, read off whichever spine
+/// passes through it (async when neither does).
+DpstKind breakingKind(const RaceWitness &W) {
+  for (const std::vector<SpineEntry> *Spine : {&W.SrcSpine, &W.SnkSpine})
+    for (const SpineEntry &E : *Spine)
+      if (E.Id == W.BreakingAsyncId)
+        return E.Kind;
+  return DpstKind::Async;
+}
+
 } // namespace
 
 std::string diag::renderWitnessText(const RaceWitness &W, bool Color) {
@@ -289,9 +309,10 @@ std::string diag::renderWitnessText(const RaceWitness &W, bool Color) {
                    dpstKindName(W.LcaKind), W.LcaId);
   if (W.HasBreakingAsync) {
     Out += strFormat(
-        "; async#%u (at %s) escapes it unjoined, so no happens-before "
+        "; %s#%u (at %s) escapes it unjoined, so no happens-before "
         "edge orders the accesses\n",
-        W.BreakingAsyncId, posStr(W.BreakingAsyncPos).c_str());
+        dpstKindName(breakingKind(W)), W.BreakingAsyncId,
+        posStr(W.BreakingAsyncPos).c_str());
   } else {
     Out += "; no breaking async found (pair appears ordered)\n";
   }

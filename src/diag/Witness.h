@@ -74,7 +74,7 @@ struct AccessDesc {
   SourcePos Pos; ///< the statement executing at the access
 };
 
-/// One async/finish/root node on the path from a step to the root.
+/// One async/future/finish/root node on the path from a step to the root.
 struct SpineEntry {
   uint32_t Id = 0;
   DpstKind Kind = DpstKind::Root;
@@ -88,9 +88,10 @@ struct RaceWitness {
   AccessDesc Snk;       ///< later access
   uint32_t LcaId = 0;   ///< NS-LCA node of the two steps
   DpstKind LcaKind = DpstKind::Root;
-  /// Theorem-1 evidence: the async child of the NS-LCA toward the earlier
-  /// step. Always present for a true race; HasBreakingAsync false would
-  /// mean the pair is ordered (a detector bug a validator can flag).
+  /// Theorem-1 evidence: the task (async or future) child of the NS-LCA
+  /// toward the earlier step. Always present for a true race;
+  /// HasBreakingAsync false would mean the pair is ordered (a detector bug
+  /// a validator can flag).
   bool HasBreakingAsync = false;
   uint32_t BreakingAsyncId = 0;
   SourcePos BreakingAsyncPos;

@@ -7,8 +7,8 @@
 /// \file
 /// The `tdr fuzz` engine: generates seeded random HJ-mini programs on the
 /// src/batch worker pool, runs each through the differential oracle
-/// (every backend fresh and replayed, both shadow modes, the repair loop
-/// under two backends — see Oracle.h), delta-minimizes every finding with
+/// (ESP-bags in both modes and the Theorem-1 oracle, fresh and replayed,
+/// plus the repair loop — see Oracle.h), delta-minimizes every finding with
 /// the ddmin reducer (Reduce.h), and persists minimized reproducers as
 /// trophies (Trophy.h). The run is deterministic for a fixed seed:
 /// per-program seeds are derived by index (not by worker) and results and

@@ -31,8 +31,6 @@ const char *findingKindName(FindingKind K) {
     return "backend-mismatch";
   case FindingKind::ReplayDivergence:
     return "replay-divergence";
-  case FindingKind::RepairDisagree:
-    return "repair-disagree";
   case FindingKind::RepairNotConverged:
     return "repair-not-converged";
   }
@@ -43,7 +41,7 @@ bool parseFindingKind(std::string_view Name, FindingKind &Out) {
   for (FindingKind K :
        {FindingKind::ParseError, FindingKind::ExecError,
         FindingKind::BackendMismatch, FindingKind::ReplayDivergence,
-        FindingKind::RepairDisagree, FindingKind::RepairNotConverged}) {
+        FindingKind::RepairNotConverged}) {
     if (Name == findingKindName(K)) {
       Out = K;
       return true;
@@ -80,11 +78,6 @@ const char *modeName(EspBagsDetector::Mode M) {
   return M == EspBagsDetector::Mode::SRW ? "srw" : "mrw";
 }
 
-std::string configName(EspBagsDetector::Mode M, DetectBackend B,
-                       const char *Feed) {
-  return strFormat("%s/%s/%s", modeName(M), detectBackendName(B), Feed);
-}
-
 void addFinding(OracleOutcome &O, FindingKind K, std::string Config,
                 std::string Detail, std::string Expected = std::string(),
                 std::string Actual = std::string()) {
@@ -98,124 +91,93 @@ void addFinding(OracleOutcome &O, FindingKind K, std::string Config,
   obs::counter("fuzz.findings").inc();
 }
 
-DetectOptions detectOptions(EspBagsDetector::Mode M, DetectBackend B) {
-  DetectOptions O;
-  O.Mode = M;
-  O.Backend = B;
-  return O;
-}
-
-/// Detection legs for one mode: record the reference backend's fresh run,
-/// cross-check every other backend fresh, then replay the recorded stream
-/// through every backend and require the fresh reference report each time.
-void runDetectionLegs(const Program &Prog, EspBagsDetector::Mode Mode,
-                      const OracleConfig &C, OracleOutcome &Out) {
-  DetectBackend Ref = C.Backends.front();
-
+/// Detection legs. The reference is the Theorem-1 oracle's fresh report,
+/// recorded so every replayed leg consumes the same event stream. The
+/// oracle replayed must reproduce it; ESP-bags fresh must agree with it in
+/// each mode (agreesWithOracle); each ESP-bags mode replayed must reproduce
+/// its own fresh report.
+void runDetectionLegs(const Program &Prog, OracleOutcome &Out) {
   trace::InputTrace T;
   trace::RecorderMonitor Recorder(T.Log);
   ExecOptions Exec;
   Exec.Monitor = &Recorder;
-  Detection Fresh =
-      detectRaces(Prog, detectOptions(Mode, Ref), std::move(Exec));
+  Detection Ref = detectRacesOracle(Prog, std::move(Exec));
   Recorder.flush();
   ++Out.DetectRuns;
-  if (!Fresh.ok()) {
-    addFinding(Out, FindingKind::ExecError, configName(Mode, Ref, "fresh"),
-               "interpretation failed: " + Fresh.Exec.Error);
+  if (!Ref.ok()) {
+    addFinding(Out, FindingKind::ExecError, "oracle/fresh",
+               "interpretation failed: " + Ref.Exec.Error);
     return;
   }
-  T.Exec = Fresh.Exec;
-  std::string RefKey = renderRaceReportKey(Fresh.Report);
+  T.Exec = Ref.Exec;
+  std::string RefKey = renderRaceReportKey(Ref.Report);
 
-  for (size_t I = 1; I < C.Backends.size(); ++I) {
-    DetectBackend B = C.Backends[I];
-    Detection D = detectRaces(Prog, detectOptions(Mode, B));
+  Detection Replayed = detectRacesOracle(Prog, T, trace::ReplayPlan());
+  ++Out.ReplayRuns;
+  std::string Key = renderRaceReportKey(Replayed.Report);
+  if (Key != RefKey)
+    addFinding(Out, FindingKind::ReplayDivergence, "oracle/replay",
+               "replayed oracle report differs from the fresh one", RefKey,
+               Key);
+
+  for (EspBagsDetector::Mode Mode :
+       {EspBagsDetector::Mode::SRW, EspBagsDetector::Mode::MRW}) {
+    const char *M = modeName(Mode);
+    Detection Fresh = detectRaces(Prog, Mode);
     ++Out.DetectRuns;
-    if (!D.ok()) {
-      addFinding(Out, FindingKind::ExecError, configName(Mode, B, "fresh"),
-                 "interpretation failed: " + D.Exec.Error);
+    if (!Fresh.ok()) {
+      addFinding(Out, FindingKind::ExecError,
+                 strFormat("%s/espbags/fresh", M),
+                 "interpretation failed: " + Fresh.Exec.Error);
       continue;
     }
-    std::string Key = renderRaceReportKey(D.Report);
-    if (Key != RefKey)
+    std::string FreshKey = renderRaceReportKey(Fresh.Report);
+    if (!agreesWithOracle(Mode, Fresh.Report, Ref))
       addFinding(Out, FindingKind::BackendMismatch,
-                 configName(Mode, B, "fresh"),
-                 strFormat("fresh %s report differs from %s",
-                           detectBackendName(B), detectBackendName(Ref)),
-                 RefKey, Key);
-  }
+                 strFormat("%s/espbags/fresh", M),
+                 strFormat("fresh %s espbags report disagrees with the oracle",
+                           M),
+                 RefKey, FreshKey);
 
-  for (DetectBackend B : C.Backends) {
-    Detection D =
-        detectRaces(Prog, detectOptions(Mode, B), T, trace::ReplayPlan());
+    Detection D = detectRaces(Prog, Mode, T, trace::ReplayPlan());
     ++Out.ReplayRuns;
     if (!D.ok()) {
-      addFinding(Out, FindingKind::ExecError, configName(Mode, B, "replay"),
+      addFinding(Out, FindingKind::ExecError,
+                 strFormat("%s/espbags/replay", M),
                  "replay failed: " + D.Exec.Error);
       continue;
     }
-    std::string Key = renderRaceReportKey(D.Report);
-    if (Key != RefKey)
+    Key = renderRaceReportKey(D.Report);
+    if (Key != FreshKey)
       addFinding(Out, FindingKind::ReplayDivergence,
-                 configName(Mode, B, "replay"),
-                 strFormat("replayed %s report differs from fresh %s",
-                           detectBackendName(B), detectBackendName(Ref)),
-                 RefKey, Key);
+                 strFormat("%s/espbags/replay", M),
+                 strFormat("replayed %s espbags report differs from the "
+                           "fresh one",
+                           M),
+                 FreshKey, Key);
   }
 }
 
-std::string repairOutcomeKey(const RepairResult &R, const std::string &Text) {
-  return strFormat("success=%d error=[%s] finishes=%u forces=%u isolated=%u\n%s",
-                   R.Success ? 1 : 0, R.Error.c_str(),
-                   R.Stats.FinishesInserted, R.Stats.ForcesInserted,
-                   R.Stats.IsolatedInserted, Text.c_str());
-}
-
-/// Repair legs: the repair loop under the first two backends must agree
-/// byte for byte, and a successful repair must actually converge — the
-/// repaired text re-parses and is race free under the reference backend.
-void runRepairLegs(const std::string &Source, const OracleConfig &C,
-                   OracleOutcome &Out) {
-  unsigned Allow = C.AllConstructs ? constructs::All : constructs::Default;
-  DetectBackend A = C.Backends.front();
-  DetectBackend B = C.Backends.size() > 1 ? C.Backends[1] : A;
-
-  RepairOptions OA;
-  OA.Backend = A;
-  OA.Constructs = Allow;
-  std::string TextA;
-  RepairResult RA = repairSource(Source, TextA, OA);
+/// Repair leg: a successful repair must actually converge — the repaired
+/// text re-parses and the oracle finds it race free. A failed repair is
+/// acceptable; the iteration cap may legitimately run out.
+void runRepairLeg(const std::string &Source, const OracleConfig &C,
+                  OracleOutcome &Out) {
+  RepairOptions Opts;
+  Opts.Constructs = C.AllConstructs ? constructs::All : constructs::Default;
+  std::string Text;
+  RepairResult R = repairSource(Source, Text, Opts);
   ++Out.RepairRuns;
-
-  if (B != A) {
-    RepairOptions OB;
-    OB.Backend = B;
-    OB.Constructs = Allow;
-    std::string TextB;
-    RepairResult RB = repairSource(Source, TextB, OB);
-    ++Out.RepairRuns;
-    std::string KeyA = repairOutcomeKey(RA, TextA);
-    std::string KeyB = repairOutcomeKey(RB, TextB);
-    if (KeyA != KeyB)
-      addFinding(Out, FindingKind::RepairDisagree,
-                 strFormat("repair/%s", detectBackendName(B)),
-                 strFormat("repair outcome under %s differs from %s",
-                           detectBackendName(B), detectBackendName(A)),
-                 KeyA, KeyB);
-  }
-
-  if (!RA.Success)
-    return; // a failed repair is acceptable as long as the backends agree
-  Loaded L = loadChecked(TextA);
+  if (!R.Success)
+    return;
+  Loaded L = loadChecked(Text);
   if (!L.ok()) {
     addFinding(Out, FindingKind::RepairNotConverged, "repair/verify",
                "repaired program fails to parse or type-check",
                "well-formed program", L.Diags->render(*L.SM));
     return;
   }
-  Detection D = detectRaces(*L.Prog,
-                            detectOptions(EspBagsDetector::Mode::MRW, A));
+  Detection D = detectRacesOracle(*L.Prog);
   ++Out.DetectRuns;
   if (!D.ok()) {
     addFinding(Out, FindingKind::RepairNotConverged, "repair/verify",
@@ -234,12 +196,6 @@ void runRepairLegs(const std::string &Source, const OracleConfig &C,
 OracleOutcome runOracle(const std::string &Source, const OracleConfig &C) {
   OracleOutcome Out;
   obs::counter("fuzz.programs").inc();
-  if (C.Backends.empty()) {
-    addFinding(Out, FindingKind::ParseError, "config",
-               "oracle configured with no backends");
-    return Out;
-  }
-
   Loaded L = loadChecked(Source);
   if (!L.ok()) {
     addFinding(Out, FindingKind::ParseError, "frontend",
@@ -248,12 +204,9 @@ OracleOutcome runOracle(const std::string &Source, const OracleConfig &C) {
     return Out;
   }
 
-  for (EspBagsDetector::Mode Mode :
-       {EspBagsDetector::Mode::SRW, EspBagsDetector::Mode::MRW})
-    runDetectionLegs(*L.Prog, Mode, C, Out);
-
+  runDetectionLegs(*L.Prog, Out);
   if (C.CheckRepair)
-    runRepairLegs(Source, C, Out);
+    runRepairLeg(Source, C, Out);
   return Out;
 }
 

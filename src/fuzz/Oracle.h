@@ -6,13 +6,14 @@
 ///
 /// \file
 /// The failure predicate of the fuzz farm: runs one HJ-mini program
-/// through every configured (backend × fresh/replay × repair) combination
-/// and reports any disagreement as a typed Finding. This is the
-/// industrialized form of the loops in backend_diff_test / shadow_diff_test
-/// / trace_replay_test — one call answers "does the whole detection and
-/// repair stack agree with itself on this program?", which makes it
-/// reusable as the fuzz driver's oracle, the delta-debugging reducer's
-/// predicate, and the trophy runner's regression check.
+/// through ESP-bags (SRW and MRW) and the Theorem-1 oracle, fresh and
+/// replayed, plus the repair loop, and reports any disagreement as a typed
+/// Finding. This is the industrialized form of the loops in
+/// backend_diff_test / shadow_diff_test / trace_replay_test — one call
+/// answers "does the whole detection and repair stack agree with the
+/// oracle on this program?", which makes it reusable as the fuzz driver's
+/// oracle, the delta-debugging reducer's predicate, and the trophy
+/// runner's regression check.
 ///
 //===----------------------------------------------------------------------===//
 
@@ -36,15 +37,14 @@ enum class FindingKind : uint8_t {
   ParseError,
   /// Interpretation or replay of a well-formed program failed.
   ExecError,
-  /// Two detection backends produced different race reports for the same
-  /// fresh execution.
+  /// ESP-bags disagrees with the Theorem-1 oracle on a fresh execution:
+  /// MRW reports differ, or SRW reports a pair the oracle does not or
+  /// misses every race of a program without futures or isolated sections
+  /// (see agreesWithOracle).
   BackendMismatch,
   /// A replayed detection's report differs from the fresh report of the
   /// recorded execution.
   ReplayDivergence,
-  /// The repair loop's outcome (success flag, error, or repaired text)
-  /// differs across backends.
-  RepairDisagree,
   /// A repair reported success but the repaired program is malformed,
   /// fails to execute, or still races.
   RepairNotConverged,
@@ -58,14 +58,10 @@ const char *findingKindName(FindingKind K);
 /// leaving \p Out untouched.
 bool parseFindingKind(std::string_view Name, FindingKind &Out);
 
-/// Which combinations the oracle runs.
+/// Which legs the oracle runs.
 struct OracleConfig {
-  /// Detection backends to cross-check (fresh and replayed). The first
-  /// entry is the reference whose fresh report every other run must match.
-  std::vector<DetectBackend> Backends = {
-      DetectBackend::EspBags, DetectBackend::VectorClock, DetectBackend::Par};
-  /// Run the repair loop under the first two backends and require
-  /// identical outcomes plus convergence to a race-free program.
+  /// Run the repair loop and require that a successful repair converges
+  /// to a program the oracle finds race free.
   bool CheckRepair = true;
   /// Repair with the full construct vocabulary (finish, future, isolated)
   /// instead of the default allowlist.
@@ -75,7 +71,7 @@ struct OracleConfig {
 /// One invariant violation.
 struct Finding {
   FindingKind Kind = FindingKind::BackendMismatch;
-  /// The combination that diverged, e.g. "mrw/vc/fresh" or "repair/vc".
+  /// The leg that diverged, e.g. "mrw/espbags/fresh" or "repair/verify".
   std::string Config;
   /// Human-readable summary.
   std::string Detail;
@@ -95,9 +91,10 @@ struct OracleOutcome {
   bool clean() const { return Findings.empty(); }
 };
 
-/// Runs the full differential oracle over \p Source: both detector modes,
-/// every configured backend fresh and replayed against a recorded event
-/// log, and (optionally) the repair loop end to end.
+/// Runs the full differential oracle over \p Source: the Theorem-1 oracle
+/// fresh and replayed, ESP-bags in both modes fresh and replayed against
+/// the same recorded event log, and (optionally) the repair loop end to
+/// end.
 OracleOutcome runOracle(const std::string &Source, const OracleConfig &C);
 
 /// Reducer/trophy predicate: does \p Source still exhibit a finding of

@@ -99,11 +99,7 @@ bool writeTrophy(const std::string &Dir, const Trophy &T, std::string &Error) {
   Json += strFormat(",\n  \"kind\": \"%s\",\n", findingKindName(T.Kind));
   Json += strFormat("  \"seed\": %llu,\n",
                     static_cast<unsigned long long>(T.Seed));
-  Json += "  \"config\": {\n    \"backends\": [";
-  for (size_t I = 0; I != T.Config.Backends.size(); ++I)
-    Json += strFormat("%s\"%s\"", I ? ", " : "",
-                      detectBackendName(T.Config.Backends[I]));
-  Json += strFormat("],\n    \"check_repair\": %s,\n",
+  Json += strFormat("  \"config\": {\n    \"check_repair\": %s,\n",
                     T.Config.CheckRepair ? "true" : "false");
   Json += strFormat("    \"all_constructs\": %s\n  },\n",
                     T.Config.AllConstructs ? "true" : "false");
@@ -164,22 +160,6 @@ bool readTrophy(const std::string &JsonPath, Trophy &Out, std::string &Error) {
   if (const json::Value *Config = Doc.get("config")) {
     Out.Config.CheckRepair = Config->getBool("check_repair", true);
     Out.Config.AllConstructs = Config->getBool("all_constructs", false);
-    if (const json::Value *Backends = Config->get("backends");
-        Backends && Backends->isArray()) {
-      Out.Config.Backends.clear();
-      for (const json::Value &B : Backends->elements()) {
-        DetectBackend Parsed;
-        if (!B.isString() || !parseDetectBackend(B.asString(), Parsed)) {
-          Error = JsonPath + ": bad backend entry in config";
-          return false;
-        }
-        Out.Config.Backends.push_back(Parsed);
-      }
-      if (Out.Config.Backends.empty()) {
-        Error = JsonPath + ": config.backends is empty";
-        return false;
-      }
-    }
   }
 
   std::string SourceFile = Doc.getString("source_file", Out.Name + ".hj");

@@ -9,48 +9,13 @@
 #include "obs/Metrics.h"
 #include "obs/Trace.h"
 #include "race/OracleDetector.h"
-#include "race/ParDetect.h"
 #include "support/StringUtils.h"
 #include "support/Timer.h"
 
 #include <cstdlib>
+#include <unordered_set>
 
 using namespace tdr;
-
-bool tdr::parseDetectBackend(std::string_view Name, DetectBackend &Out) {
-  if (Name == "espbags") {
-    Out = DetectBackend::EspBags;
-    return true;
-  }
-  if (Name == "vc") {
-    Out = DetectBackend::VectorClock;
-    return true;
-  }
-  if (Name == "par") {
-    Out = DetectBackend::Par;
-    return true;
-  }
-  return false;
-}
-
-const char *tdr::detectBackendName(DetectBackend B) {
-  switch (B) {
-  case DetectBackend::VectorClock:
-    return "vc";
-  case DetectBackend::Par:
-    return "par";
-  case DetectBackend::EspBags:
-    break;
-  }
-  return "espbags";
-}
-
-DetectBackend tdr::defaultDetectBackend() {
-  DetectBackend B = DetectBackend::EspBags;
-  if (const char *V = std::getenv("TDR_BACKEND"))
-    parseDetectBackend(V, B);
-  return B;
-}
 
 bool tdr::backendCheckEnv() {
   const char *V = std::getenv("TDR_BACKEND_CHECK");
@@ -72,23 +37,22 @@ void publishDetection(const Detection &D) {
       .set(static_cast<int64_t>(D.ShadowBytesReserved));
 }
 
-/// One live (interpreting) detection with detector \p DetectorT. Both
-/// backends share the constructor shape (Mode, Builder) and the fused
-/// single-monitor dispatch, so backend selection is this one template
-/// parameter.
-template <typename DetectorT>
-Detection liveDetect(const Program &P, EspBagsDetector::Mode Mode,
-                     ExecOptions Exec) {
-  Detection D;
-  D.Tree = std::make_unique<Dpst>();
-  DpstBuilder Builder(*D.Tree);
-  DetectorT Detector(Mode, Builder);
-  FusedDetectMonitor<DetectorT> Fused(Builder, Detector);
+/// Feeds \p Fused (the builder plus a detector) one execution and returns
+/// its outcome: \p P under the interpreter when \p T is null, else the
+/// recorded stream of \p T remapped through \p Plan.
+/// Fast path: with no caller monitor the interpreter talks to the fused
+/// builder+detector directly — one virtual dispatch per event. A
+/// caller-supplied monitor keeps observing the instrumented execution; it
+/// runs ahead of the builder/detector so it sees events untouched.
+ExecResult feed(const Program &P, ExecMonitor &Fused, ExecOptions Exec,
+                const trace::InputTrace *T, const trace::ReplayPlan *Plan) {
+  if (T) {
+    Timer ReplayTimer;
+    trace::replayEvents(T->Log, *Plan, Fused);
+    obs::histogram("trace.replay_ms").observe(ReplayTimer.elapsedMs());
+    return T->Exec;
+  }
   MonitorPipeline Pipeline;
-  // Fast path: with no caller monitor the interpreter talks to the fused
-  // builder+detector directly — one virtual dispatch per event. A
-  // caller-supplied monitor keeps observing the instrumented execution;
-  // it runs ahead of the builder/detector so it sees events untouched.
   if (Exec.Monitor) {
     Pipeline.add(Exec.Monitor);
     Pipeline.add(&Fused);
@@ -96,90 +60,66 @@ Detection liveDetect(const Program &P, EspBagsDetector::Mode Mode,
   } else {
     Exec.Monitor = &Fused;
   }
-  D.Exec = runProgram(P, std::move(Exec));
-  D.Report = Detector.takeReport();
-  D.ShadowBytesUsed = Detector.shadowBytesUsed();
-  D.ShadowBytesReserved = Detector.shadowBytesReserved();
-  return D;
+  return runProgram(P, std::move(Exec));
 }
 
-/// One log-backed detection with detector \p DetectorT.
-template <typename DetectorT>
-Detection replayDetect(EspBagsDetector::Mode Mode, const trace::InputTrace &T,
-                       const trace::ReplayPlan &Plan) {
+/// One ESP-bags detection: live when \p T is null, else replayed from
+/// \p T through \p Plan.
+Detection espBagsDetect(const Program &P, EspBagsDetector::Mode Mode,
+                        ExecOptions Exec, const trace::InputTrace *T,
+                        const trace::ReplayPlan *Plan) {
   Detection D;
   D.Tree = std::make_unique<Dpst>();
   DpstBuilder Builder(*D.Tree);
-  DetectorT Detector(Mode, Builder);
-  FusedDetectMonitor<DetectorT> Fused(Builder, Detector);
-  Timer ReplayTimer;
-  trace::replayEvents(T.Log, Plan, Fused);
-  obs::histogram("trace.replay_ms").observe(ReplayTimer.elapsedMs());
-  D.Exec = T.Exec;
+  EspBagsDetector Detector(Mode, Builder);
+  FusedDetectMonitor<EspBagsDetector> Fused(Builder, Detector);
+  D.Exec = feed(P, Fused, std::move(Exec), T, Plan);
   D.Report = Detector.takeReport();
   D.ShadowBytesUsed = Detector.shadowBytesUsed();
   D.ShadowBytesReserved = Detector.shadowBytesReserved();
   return D;
 }
 
-Detection liveDetectBackend(const Program &P, const DetectOptions &Opts,
-                            ExecOptions Exec) {
-  switch (Opts.Backend) {
-  case DetectBackend::VectorClock:
-    return liveDetect<VectorClockDetector>(P, Opts.Mode, std::move(Exec));
-  case DetectBackend::Par:
-    return parDetectLive(P, Opts, std::move(Exec));
-  case DetectBackend::EspBags:
-    break;
-  }
-  return liveDetect<EspBagsDetector>(P, Opts.Mode, std::move(Exec));
-}
-
-Detection replayDetectBackend(const DetectOptions &Opts,
-                              const trace::InputTrace &T,
-                              const trace::ReplayPlan &Plan) {
-  switch (Opts.Backend) {
-  case DetectBackend::VectorClock:
-    return replayDetect<VectorClockDetector>(Opts.Mode, T, Plan);
-  case DetectBackend::Par:
-    return parDetectReplay(Opts, T, Plan);
-  case DetectBackend::EspBags:
-    break;
-  }
-  return replayDetect<EspBagsDetector>(Opts.Mode, T, Plan);
+/// One oracle detection: live when \p T is null, else replayed.
+Detection oracleDetect(const Program &P, ExecOptions Exec,
+                       const trace::InputTrace *T,
+                       const trace::ReplayPlan *Plan) {
+  Detection D;
+  D.Tree = std::make_unique<Dpst>();
+  DpstBuilder Builder(*D.Tree);
+  OracleDetector Detector(*D.Tree, Builder);
+  FusedDetectMonitor<OracleDetector> Fused(Builder, Detector);
+  D.Exec = feed(P, Fused, std::move(Exec), T, Plan);
+  D.Report = Detector.takeReport();
+  return D;
 }
 
 /// The TDR_BACKEND_CHECK differential: replays the primary run's event
-/// stream through the *other* backend and demands a byte-identical report.
-/// The secondary run executes under a throwaway metrics registry, so tests
+/// stream through the Theorem-1 oracle; the two reports must agree in the
+/// sense of agreesWithOracle.
+/// The oracle run executes under a throwaway metrics registry, so tests
 /// asserting exact counter values (detect.runs, espbags.*) see the same
 /// numbers with and without the check — only the verdict escapes. A
 /// mismatch fails the detection the way a run-time error would, so every
 /// caller (repair loop, CLI, tests) surfaces it.
-void crossCheckBackends(Detection &D, const DetectOptions &Opts,
-                        const trace::InputTrace &T,
-                        const trace::ReplayPlan &Plan) {
+void crossCheckOracle(const Program &P, Detection &D,
+                      EspBagsDetector::Mode Mode,
+                      const trace::InputTrace &T,
+                      const trace::ReplayPlan &Plan) {
   obs::ScopedSpan Span(obs::phase::DetectBackendCheck);
   obs::counter("detect.backend_checks").inc();
-  DetectOptions Other = Opts;
-  // Cross-check against ESP-bags (the reference algorithm) unless it is
-  // the primary, in which case vector clocks take the secondary seat.
-  Other.Backend = Opts.Backend == DetectBackend::EspBags
-                      ? DetectBackend::VectorClock
-                      : DetectBackend::EspBags;
-  std::string OtherKey;
+  bool Agree = true;
   {
     obs::MetricsRegistry Scratch;
     obs::ScopedMetrics Scoped(Scratch);
-    Detection O = replayDetectBackend(Other, T, Plan);
-    OtherKey = renderRaceReportKey(O.Report);
+    Detection O = oracleDetect(P, ExecOptions(), &T, &Plan);
+    Agree = agreesWithOracle(Mode, D.Report, O);
   }
-  if (OtherKey == renderRaceReportKey(D.Report))
+  if (Agree)
     return;
   D.Exec.Ok = false;
-  D.Exec.Error = strFormat(
-      "backend differential mismatch: %s and %s disagree on the race report",
-      detectBackendName(Opts.Backend), detectBackendName(Other.Backend));
+  D.Exec.Error = "oracle differential mismatch: espbags and the Theorem-1 "
+                 "oracle disagree on the race report";
 }
 
 } // namespace
@@ -189,13 +129,14 @@ Detection tdr::detectRaces(const Program &P, const DetectOptions &Opts,
   obs::ScopedSpan Span(obs::phase::Detect);
   obs::counter("detect.runs").inc();
   if (!backendCheckEnv()) {
-    Detection D = liveDetectBackend(P, Opts, std::move(Exec));
+    Detection D = espBagsDetect(P, Opts.Mode, std::move(Exec), nullptr,
+                                nullptr);
     publishDetection(D);
     return D;
   }
-  // Backend check on a live run: record the event stream alongside the
-  // primary detection so the secondary backend replays the exact same
-  // events (an empty plan re-emits the log verbatim).
+  // Oracle check on a live run: record the event stream alongside the
+  // detection so the oracle replays the exact same events (an empty plan
+  // re-emits the log verbatim).
   trace::InputTrace T;
   trace::RecorderMonitor Recorder(T.Log);
   MonitorPipeline Pipeline;
@@ -206,11 +147,11 @@ Detection tdr::detectRaces(const Program &P, const DetectOptions &Opts,
   } else {
     Exec.Monitor = &Recorder;
   }
-  Detection D = liveDetectBackend(P, Opts, std::move(Exec));
+  Detection D = espBagsDetect(P, Opts.Mode, std::move(Exec), nullptr, nullptr);
   Recorder.flush();
   T.Exec = D.Exec;
   if (D.Exec.Ok)
-    crossCheckBackends(D, Opts, T, trace::ReplayPlan());
+    crossCheckOracle(P, D, Opts.Mode, T, trace::ReplayPlan());
   publishDetection(D);
   return D;
 }
@@ -219,19 +160,18 @@ Detection tdr::detectRaces(const Program &P, EspBagsDetector::Mode Mode,
                            ExecOptions Exec) {
   DetectOptions Opts;
   Opts.Mode = Mode;
-  Opts.Backend = defaultDetectBackend();
   return detectRaces(P, Opts, std::move(Exec));
 }
 
-Detection tdr::detectRaces(const Program &, const DetectOptions &Opts,
+Detection tdr::detectRaces(const Program &P, const DetectOptions &Opts,
                            const trace::InputTrace &T,
                            const trace::ReplayPlan &Plan) {
   obs::ScopedSpan Span(obs::phase::DetectReplay);
   obs::counter("detect.runs").inc();
   obs::counter("detect.replays").inc();
-  Detection D = replayDetectBackend(Opts, T, Plan);
+  Detection D = espBagsDetect(P, Opts.Mode, ExecOptions(), &T, &Plan);
   if (D.Exec.Ok && backendCheckEnv())
-    crossCheckBackends(D, Opts, T, Plan);
+    crossCheckOracle(P, D, Opts.Mode, T, Plan);
   publishDetection(D);
   return D;
 }
@@ -241,26 +181,21 @@ Detection tdr::detectRaces(const Program &P, EspBagsDetector::Mode Mode,
                            const trace::ReplayPlan &Plan) {
   DetectOptions Opts;
   Opts.Mode = Mode;
-  Opts.Backend = defaultDetectBackend();
   return detectRaces(P, Opts, T, Plan);
 }
 
-Detection tdr::detectRacesOracle(const Program &, const trace::InputTrace &T,
+Detection tdr::detectRacesOracle(const Program &P, const trace::InputTrace &T,
                                  const trace::ReplayPlan &Plan) {
   obs::ScopedSpan Span(obs::phase::DetectOracleReplay);
   obs::counter("detect.replays").inc();
-  Detection D;
-  D.Tree = std::make_unique<Dpst>();
-  DpstBuilder Builder(*D.Tree);
-  OracleDetector Detector(*D.Tree, Builder);
-  FusedDetectMonitor<OracleDetector> Fused(Builder, Detector);
-  Timer ReplayTimer;
-  trace::replayEvents(T.Log, Plan, Fused);
-  obs::histogram("trace.replay_ms").observe(ReplayTimer.elapsedMs());
-  D.Exec = T.Exec;
-  D.Report = Detector.takeReport();
-  D.ShadowBytesUsed = Detector.shadowBytesUsed();
-  D.ShadowBytesReserved = Detector.shadowBytesReserved();
+  Detection D = oracleDetect(P, ExecOptions(), &T, &Plan);
+  publishDetection(D);
+  return D;
+}
+
+Detection tdr::detectRacesOracle(const Program &P, ExecOptions Exec) {
+  obs::ScopedSpan Span(obs::phase::DetectOracle);
+  Detection D = oracleDetect(P, std::move(Exec), nullptr, nullptr);
   publishDetection(D);
   return D;
 }
@@ -277,25 +212,41 @@ std::string tdr::renderRaceReportKey(const RaceReport &R) {
   return Out;
 }
 
-Detection tdr::detectRacesOracle(const Program &P, ExecOptions Exec) {
-  obs::ScopedSpan Span(obs::phase::DetectOracle);
-  Detection D;
-  D.Tree = std::make_unique<Dpst>();
-  DpstBuilder Builder(*D.Tree);
-  OracleDetector Detector(*D.Tree, Builder);
-  FusedDetectMonitor<OracleDetector> Fused(Builder, Detector);
-  MonitorPipeline Pipeline;
-  if (Exec.Monitor) {
-    Pipeline.add(Exec.Monitor);
-    Pipeline.add(&Fused);
-    Exec.Monitor = &Pipeline;
-  } else {
-    Exec.Monitor = &Fused;
+namespace {
+
+/// True when the S-DPST has a future node or an isolated step. SRW's
+/// single reader and writer per location keep a witness of some race
+/// whenever one exists only on the remaining, series-parallel programs: a
+/// force join is invisible to the bags that decide which reader to keep,
+/// and an isolated write suppressed against a parallel isolated write
+/// evicts it from the writer slot unreported.
+bool hasFuturesOrIsolated(const Dpst &T) {
+  std::vector<const DpstNode *> Work{T.root()};
+  while (!Work.empty()) {
+    const DpstNode *N = Work.back();
+    Work.pop_back();
+    if (N->kind() == DpstKind::Future || N->isIsolated())
+      return true;
+    Work.insert(Work.end(), N->children().begin(), N->children().end());
   }
-  D.Exec = runProgram(P, std::move(Exec));
-  D.Report = Detector.takeReport();
-  D.ShadowBytesUsed = Detector.shadowBytesUsed();
-  D.ShadowBytesReserved = Detector.shadowBytesReserved();
-  publishDetection(D);
-  return D;
+  return false;
+}
+
+} // namespace
+
+bool tdr::agreesWithOracle(EspBagsDetector::Mode Mode, const RaceReport &Esp,
+                           const Detection &Oracle) {
+  const RaceReport &Ref = Oracle.Report;
+  if (Mode == EspBagsDetector::Mode::MRW)
+    return renderRaceReportKey(Esp) == renderRaceReportKey(Ref);
+  if (Esp.Pairs.empty() && !Ref.Pairs.empty() &&
+      !hasFuturesOrIsolated(*Oracle.Tree))
+    return false;
+  std::unordered_set<uint64_t> RefPairs;
+  for (const RacePair &R : Ref.Pairs)
+    RefPairs.insert(packRacePairKey(R.Src->id(), R.Snk->id()));
+  for (const RacePair &R : Esp.Pairs)
+    if (!RefPairs.count(packRacePairKey(R.Src->id(), R.Snk->id())))
+      return false;
+  return true;
 }

@@ -109,7 +109,8 @@ void EspBagsDetector::recordRace(const Access &Prev, AccessKind PrevKind,
                                  MemLoc L) {
   // Isolated steps commute under mutual exclusion; the shared S-DPST
   // carries the per-step flag. Suppressed observations bump no counters,
-  // so every backend applying the same two checks stays byte-identical.
+  // so ESP-bags and the oracle, applying the same check, stay
+  // byte-identical.
   if (Dpst::bothIsolated(Prev.Step, CurStep))
     return;
   // With futures in play the bags over-approximate (a force join edge is

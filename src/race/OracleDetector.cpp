@@ -8,33 +8,9 @@
 
 using namespace tdr;
 
-void OracleDetector::onAsyncEnter(const AsyncStmt *, const Stmt *) {
-  CachedStep = nullptr;
-}
-void OracleDetector::onAsyncExit(const AsyncStmt *) { CachedStep = nullptr; }
-void OracleDetector::onFinishEnter(const FinishStmt *, const Stmt *) {
-  CachedStep = nullptr;
-}
-void OracleDetector::onFinishExit(const FinishStmt *) { CachedStep = nullptr; }
-void OracleDetector::onFutureEnter(const FutureStmt *, const Stmt *, uint32_t) {
-  CachedStep = nullptr;
-}
-void OracleDetector::onFutureExit(const FutureStmt *) { CachedStep = nullptr; }
-void OracleDetector::onForce(uint32_t) { CachedStep = nullptr; }
-void OracleDetector::onIsolatedEnter(const IsolatedStmt *, const Stmt *) {
-  CachedStep = nullptr;
-}
-void OracleDetector::onIsolatedExit(const IsolatedStmt *) {
-  CachedStep = nullptr;
-}
-void OracleDetector::onScopeEnter(ScopeKind, const Stmt *, const BlockStmt *,
-                                  const FuncDecl *) {
-  CachedStep = nullptr;
-}
-void OracleDetector::onScopeExit() { CachedStep = nullptr; }
-
-void OracleDetector::check(const AccessList &Prev, AccessKind PrevKind,
-                           DpstNode *Step, AccessKind CurKind, MemLoc L) {
+void OracleDetector::check(const std::vector<DpstNode *> &Prev,
+                           AccessKind PrevKind, DpstNode *Step,
+                           AccessKind CurKind, MemLoc L) {
   for (DpstNode *P : Prev) {
     if (P == Step || !Tree.mayHappenInParallel(P, Step))
       continue;
@@ -64,31 +40,19 @@ void OracleDetector::check(const AccessList &Prev, AccessKind PrevKind,
   }
 }
 
-void OracleDetector::readSlot(Shadow &S, DpstNode *Step, MemLoc L) {
+void OracleDetector::onRead(MemLoc L) {
+  DpstNode *Step = Builder.currentStep();
+  Shadow &S = ShadowMem[L];
   check(S.Writers, AccessKind::Write, Step, AccessKind::Read, L);
   if (S.Readers.empty() || S.Readers.back() != Step)
     S.Readers.push_back(Step);
 }
 
-void OracleDetector::writeSlot(Shadow &S, DpstNode *Step, MemLoc L) {
+void OracleDetector::onWrite(MemLoc L) {
+  DpstNode *Step = Builder.currentStep();
+  Shadow &S = ShadowMem[L];
   check(S.Writers, AccessKind::Write, Step, AccessKind::Write, L);
   check(S.Readers, AccessKind::Read, Step, AccessKind::Write, L);
   if (S.Writers.empty() || S.Writers.back() != Step)
     S.Writers.push_back(Step);
-}
-
-void OracleDetector::onRead(MemLoc L) { readSlot(Shadows.slot(L), curStep(), L); }
-
-void OracleDetector::onWrite(MemLoc L) {
-  writeSlot(Shadows.slot(L), curStep(), L);
-}
-
-void OracleDetector::onReadRun(MemLoc L, uint64_t N) {
-  DpstNode *Step = curStep();
-  Shadows.forRun(L, N, [&](Shadow &S, MemLoc At) { readSlot(S, Step, At); });
-}
-
-void OracleDetector::onWriteRun(MemLoc L, uint64_t N) {
-  DpstNode *Step = curStep();
-  Shadows.forRun(L, N, [&](Shadow &S, MemLoc At) { writeSlot(S, Step, At); });
 }

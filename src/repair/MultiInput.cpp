@@ -28,12 +28,10 @@ MultiRepairResult
 tdr::repairProgramForInputs(Program &P, AstContext &Ctx,
                             const std::vector<ExecOptions> &Inputs,
                             EspBagsDetector::Mode Mode,
-                            trace::TraceStore *Store, bool UseReplay,
-                            DetectBackend Backend) {
+                            trace::TraceStore *Store, bool UseReplay) {
   MultiRepairResult R;
   DetectOptions Detect;
   Detect.Mode = Mode;
-  Detect.Backend = Backend;
   // One trace store for the whole session: entry I holds input I's recorded
   // stream and the edit map accumulated against it. Edits made while
   // repairing input J broadcast into every recorded entry, so input I's
@@ -43,7 +41,6 @@ tdr::repairProgramForInputs(Program &P, AstContext &Ctx,
   for (size_t I = 0; I != Inputs.size(); ++I) {
     RepairOptions Opts;
     Opts.Mode = Mode;
-    Opts.Backend = Backend;
     Opts.Exec = Inputs[I];
     Opts.UseReplay = UseReplay;
     Opts.Store = &S;

@@ -180,18 +180,21 @@ GroupApply solveGroup(const Dpst &Tree, const DepGroup &G,
         Alive[R] = 0;
   };
   RefreshAlive();
-  auto EdgeIndexOf = [&](uint32_t X, uint32_t Y) -> size_t {
-    for (size_t E = 0; E != NE; ++E)
-      if (G.Problem.Edges[E] == std::make_pair(X, Y))
-        return E;
-    return NE;
-  };
+  // Each race's dependence edge index (NE when absent), looked up once:
+  // G.Problem.Edges is sorted (built from a std::set).
+  std::vector<size_t> RaceEdge(G.Races.size(), NE);
+  for (size_t R = 0; R != G.Races.size(); ++R) {
+    auto It = std::lower_bound(G.Problem.Edges.begin(),
+                               G.Problem.Edges.end(), G.RaceIdx[R]);
+    if (It != G.Problem.Edges.end() && *It == G.RaceIdx[R])
+      RaceEdge[R] = static_cast<size_t>(It - G.Problem.Edges.begin());
+  }
 
   for (auto [S, E] : Ranges) {
     bool Needed = false;
     for (size_t R = 0; R != G.Races.size() && !Needed; ++R) {
       auto [X, Y] = G.RaceIdx[R];
-      size_t EI = EdgeIndexOf(X, Y);
+      size_t EI = RaceEdge[R];
       Needed = Alive[R] && (EI == NE || EdgeIsFinish[EI]) && S <= X &&
                X <= E && E < Y;
     }
@@ -328,7 +331,6 @@ RepairResult tdr::repairProgram(Program &P, AstContext &Ctx,
   const bool ReplayCheck = Opts.ReplayCheck || replayCheckEnv();
   DetectOptions Detect;
   Detect.Mode = Opts.Mode;
-  Detect.Backend = Opts.Backend;
 
   for (unsigned Iter = 0; Iter != Opts.MaxIterations; ++Iter) {
     trace::TraceEntry &Entry = Store.entry(Slot);

@@ -33,10 +33,7 @@ namespace tdr {
 /// Repair configuration.
 struct RepairOptions {
   EspBagsDetector::Mode Mode = EspBagsDetector::Mode::MRW;
-  /// Detection backend for every run of the repair loop (see
-  /// race/Detect.h); defaults to the TDR_BACKEND-selectable process
-  /// default, so the environment reroutes unconfigured callers wholesale.
-  DetectBackend Backend = defaultDetectBackend();
+  DetectBackend Backend = DetectBackend::EspBags; ///< unused; see Detect.h
   ExecOptions Exec;            ///< the test input (args, seed, limits)
   unsigned MaxIterations = 8;  ///< outer detect/repair rounds (must be >= 1)
   /// Record-once / replay-many: the first detection run interprets the
@@ -48,7 +45,7 @@ struct RepairOptions {
   /// Runs every replayed detection twice — replayed and freshly
   /// interpreted — and fails the repair unless the reports are
   /// byte-identical. Also enabled by the TDR_REPLAY_CHECK environment
-  /// variable (mirrors the RefDetectors differential pattern).
+  /// variable.
   bool ReplayCheck = false;
   /// Optional shared trace store: the driver records into / replays from
   /// entry InputIndex and broadcasts every AST edit to all recorded

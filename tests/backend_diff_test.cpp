@@ -1,17 +1,17 @@
-//===- backend_diff_test.cpp - Three-way detection backend differential ---===//
+//===- backend_diff_test.cpp - ESP-bags vs Theorem-1 oracle differential --===//
 //
 // Part of the tdr project (PLDI 2014 race-repair reproduction).
 //
-// The vector-clock backend (VectorClockDetector) and the partitioned
-// backend (ParDetect) must be report-identical to ESP-bags: for every
-// program, every mode (SRW/MRW), every feed (fresh interpretation or trace
-// replay), and — for par — every worker count, all three backends must
-// produce the IDENTICAL RaceReport. That is the property the
+// MRW ESP-bags must be report-identical to the independent Theorem-1
+// oracle (OracleDetector): for every program and every feed (fresh
+// interpretation or trace replay), the two must produce the IDENTICAL
+// RaceReport. SRW ESP-bags must report only pairs the oracle reports, and
+// on programs without futures or isolated sections at least one whenever
+// the oracle reports any (agreesWithOracle). That is the property the
 // TDR_BACKEND_CHECK differential gates CI on. These tests check it on
-// ~100 random programs per mode, on replayed streams, through the repair
-// loop end to end, across chunk boundaries of the partitioned backend,
-// and cover the backend-selection plumbing (parse, env default, check
-// mode).
+// random programs (plain and with futures, isolated and forasync), on
+// replayed streams, through the repair loop end to end, and cover the
+// check's plumbing.
 //
 //===----------------------------------------------------------------------===//
 
@@ -20,8 +20,6 @@
 
 #include "obs/Metrics.h"
 #include "race/Detect.h"
-#include "race/ParDetect.h"
-#include "repair/MultiInput.h"
 #include "repair/RepairDriver.h"
 #include "trace/EventLog.h"
 
@@ -59,41 +57,6 @@ private:
   bool Had = false;
 };
 
-DetectOptions options(EspBagsDetector::Mode Mode, DetectBackend B) {
-  DetectOptions O;
-  O.Mode = Mode;
-  O.Backend = B;
-  return O;
-}
-
-/// Asserts the two reports are identical record for record (and render to
-/// the same key — the exact comparison TDR_BACKEND_CHECK performs).
-void expectIdenticalReports(const Detection &Vc, const Detection &Esp,
-                            const std::string &Src) {
-  EXPECT_EQ(renderRaceReportKey(Vc.Report), renderRaceReportKey(Esp.Report))
-      << Src;
-  EXPECT_EQ(Vc.Report.RawCount, Esp.Report.RawCount) << Src;
-  ASSERT_EQ(Vc.Report.Pairs.size(), Esp.Report.Pairs.size()) << Src;
-  for (size_t I = 0; I != Vc.Report.Pairs.size(); ++I) {
-    const RacePair &V = Vc.Report.Pairs[I];
-    const RacePair &E = Esp.Report.Pairs[I];
-    EXPECT_EQ(V.Src->id(), E.Src->id()) << "pair " << I << "\n" << Src;
-    EXPECT_EQ(V.Snk->id(), E.Snk->id()) << "pair " << I << "\n" << Src;
-    EXPECT_TRUE(V.Loc == E.Loc) << "pair " << I << "\n" << Src;
-    EXPECT_EQ(V.SrcKind, E.SrcKind) << "pair " << I << "\n" << Src;
-    EXPECT_EQ(V.SnkKind, E.SnkKind) << "pair " << I << "\n" << Src;
-  }
-}
-
-/// Reports identify tree nodes by pointer into their own Dpst, so
-/// cross-detection comparison goes through node ids + the rendered key.
-void expectSameKey(const Detection &A, const Detection &B,
-                   const std::string &What) {
-  EXPECT_EQ(renderRaceReportKey(A.Report), renderRaceReportKey(B.Report))
-      << What;
-  EXPECT_EQ(A.Report.RawCount, B.Report.RawCount) << What;
-}
-
 const char *RacySource = R"(
 func work(a: int[], i: int) {
   a[i] = a[i] + 1;
@@ -111,266 +74,160 @@ func main() {
 )";
 
 //===----------------------------------------------------------------------===//
-// Differential: vector clocks == ESP-bags == partitioned, random programs
+// Differential: ESP-bags == oracle, random programs
 //===----------------------------------------------------------------------===//
 
-class BackendsAgree : public ::testing::TestWithParam<uint64_t> {};
+class DetectorMatchesOracle : public ::testing::TestWithParam<uint64_t> {};
 
-TEST_P(BackendsAgree, FreshReportsAreIdentical) {
+/// Fresh ESP-bags in both modes against the fresh oracle on one program.
+void checkFresh(const std::string &Src) {
+  ParsedProgram P = parseAndCheck(Src);
+  ASSERT_TRUE(P.ok()) << P.errors() << "\n" << Src;
+  Detection Oracle = detectRacesOracle(*P.Prog);
+  ASSERT_TRUE(Oracle.ok()) << Oracle.Exec.Error << "\n" << Src;
+  for (EspBagsDetector::Mode Mode :
+       {EspBagsDetector::Mode::SRW, EspBagsDetector::Mode::MRW}) {
+    Detection Esp = detectRaces(*P.Prog, Mode);
+    ASSERT_TRUE(Esp.ok()) << Esp.Exec.Error << "\n" << Src;
+    EXPECT_TRUE(agreesWithOracle(Mode, Esp.Report, Oracle)) << Src;
+  }
+}
+
+TEST_P(DetectorMatchesOracle, FreshReports) {
   Rng SeedGen(GetParam());
   for (int Trial = 0; Trial != 25; ++Trial) {
     RandomProgramGen Gen(SeedGen.next());
-    std::string Src = Gen.generate();
-    ParsedProgram P = parseAndCheck(Src);
-    ASSERT_TRUE(P.ok()) << P.errors() << "\n" << Src;
-
-    for (EspBagsDetector::Mode Mode :
-         {EspBagsDetector::Mode::SRW, EspBagsDetector::Mode::MRW}) {
-      Detection Esp =
-          detectRaces(*P.Prog, options(Mode, DetectBackend::EspBags));
-      ASSERT_TRUE(Esp.ok()) << Esp.Exec.Error << "\n" << Src;
-      Detection Vc =
-          detectRaces(*P.Prog, options(Mode, DetectBackend::VectorClock));
-      ASSERT_TRUE(Vc.ok()) << Vc.Exec.Error << "\n" << Src;
-      expectIdenticalReports(Vc, Esp, Src);
-      Detection Par = detectRaces(*P.Prog, options(Mode, DetectBackend::Par));
-      ASSERT_TRUE(Par.ok()) << Par.Exec.Error << "\n" << Src;
-      expectIdenticalReports(Par, Esp, Src);
-    }
+    checkFresh(Gen.generate());
   }
 }
 
-TEST_P(BackendsAgree, ReplayedReportsAreIdentical) {
-  Rng SeedGen(GetParam() ^ 0x5bd1e995);
-  for (int Trial = 0; Trial != 15; ++Trial) {
-    RandomProgramGen Gen(SeedGen.next());
-    std::string Src = Gen.generate();
-    ParsedProgram P = parseAndCheck(Src);
-    ASSERT_TRUE(P.ok()) << P.errors() << "\n" << Src;
-
-    for (EspBagsDetector::Mode Mode :
-         {EspBagsDetector::Mode::SRW, EspBagsDetector::Mode::MRW}) {
-      // Record the event stream once, then feed the identical stream to
-      // all backends (empty plan = verbatim re-emission). The replayed
-      // reports must match each other AND the fresh one.
-      trace::InputTrace T;
-      trace::RecorderMonitor Recorder(T.Log);
-      ExecOptions Exec;
-      Exec.Monitor = &Recorder;
-      Detection Fresh = detectRaces(
-          *P.Prog, options(Mode, DetectBackend::EspBags), std::move(Exec));
-      ASSERT_TRUE(Fresh.ok()) << Fresh.Exec.Error << "\n" << Src;
-      Recorder.flush();
-      T.Exec = Fresh.Exec;
-
-      Detection Esp = detectRaces(*P.Prog, options(Mode, DetectBackend::EspBags),
-                                  T, trace::ReplayPlan());
-      Detection Vc = detectRaces(
-          *P.Prog, options(Mode, DetectBackend::VectorClock), T,
-          trace::ReplayPlan());
-      Detection Par = detectRaces(*P.Prog, options(Mode, DetectBackend::Par),
-                                  T, trace::ReplayPlan());
-      expectIdenticalReports(Vc, Esp, Src);
-      expectIdenticalReports(Par, Esp, Src);
-      EXPECT_EQ(renderRaceReportKey(Vc.Report),
-                renderRaceReportKey(Fresh.Report))
-          << Src;
-    }
-  }
-}
-
-TEST_P(BackendsAgree, ConstructProgramReportsAreIdentical) {
-  // Same three-way differential over the extended-construct generator:
-  // future/force joins, isolated sections, and lowered forasync loops all
-  // flow through the same event stream, so the backends must still agree.
+TEST_P(DetectorMatchesOracle, ConstructProgramReports) {
+  // Future/force joins, isolated sections, and lowered forasync loops all
+  // flow through the same event stream, so the two must still agree.
   Rng SeedGen(GetParam() ^ 0x9e3779b9);
   for (int Trial = 0; Trial != 15; ++Trial) {
     RandomProgramGen Gen(SeedGen.next());
     Gen.enableConstructs();
+    checkFresh(Gen.generate());
+  }
+}
+
+TEST_P(DetectorMatchesOracle, ReplayedReports) {
+  Rng SeedGen(GetParam() ^ 0x5bd1e995);
+  for (int Trial = 0; Trial != 15; ++Trial) {
+    RandomProgramGen Gen(SeedGen.next());
+    if (Trial & 1)
+      Gen.enableConstructs();
     std::string Src = Gen.generate();
     ParsedProgram P = parseAndCheck(Src);
     ASSERT_TRUE(P.ok()) << P.errors() << "\n" << Src;
 
+    // Record the oracle's fresh run once, then feed the identical stream
+    // to the oracle and to ESP-bags in both modes (empty plan = verbatim
+    // re-emission).
+    trace::InputTrace T;
+    trace::RecorderMonitor Recorder(T.Log);
+    ExecOptions Exec;
+    Exec.Monitor = &Recorder;
+    Detection Fresh = detectRacesOracle(*P.Prog, std::move(Exec));
+    ASSERT_TRUE(Fresh.ok()) << Fresh.Exec.Error << "\n" << Src;
+    Recorder.flush();
+    T.Exec = Fresh.Exec;
+
+    Detection Oracle = detectRacesOracle(*P.Prog, T, trace::ReplayPlan());
+    EXPECT_EQ(renderRaceReportKey(Oracle.Report),
+              renderRaceReportKey(Fresh.Report))
+        << Src;
     for (EspBagsDetector::Mode Mode :
          {EspBagsDetector::Mode::SRW, EspBagsDetector::Mode::MRW}) {
-      Detection Esp =
-          detectRaces(*P.Prog, options(Mode, DetectBackend::EspBags));
+      Detection Esp = detectRaces(*P.Prog, Mode, T, trace::ReplayPlan());
       ASSERT_TRUE(Esp.ok()) << Esp.Exec.Error << "\n" << Src;
-      Detection Vc =
-          detectRaces(*P.Prog, options(Mode, DetectBackend::VectorClock));
-      ASSERT_TRUE(Vc.ok()) << Vc.Exec.Error << "\n" << Src;
-      expectIdenticalReports(Vc, Esp, Src);
-      Detection Par = detectRaces(*P.Prog, options(Mode, DetectBackend::Par));
-      ASSERT_TRUE(Par.ok()) << Par.Exec.Error << "\n" << Src;
-      expectIdenticalReports(Par, Esp, Src);
+      EXPECT_TRUE(agreesWithOracle(Mode, Esp.Report, Fresh)) << Src;
     }
   }
 }
 
-TEST_P(BackendsAgree, ConstructProgramRepairsAgree) {
-  // Construct-generator programs through the full repair loop under both
-  // sequential backends, with the whole construct vocabulary enabled: the
-  // repaired text and outcome must be backend-independent.
+TEST_P(DetectorMatchesOracle, RepairedProgramsAreOracleRaceFree) {
+  // Construct-generator programs through the full repair loop with the
+  // whole construct vocabulary enabled: a successful repair must leave a
+  // program the oracle finds race free.
   Rng SeedGen(GetParam() ^ 0x85ebca6b);
   for (int Trial = 0; Trial != 6; ++Trial) {
     RandomProgramGen Gen(SeedGen.next());
     Gen.enableConstructs();
     std::string Src = Gen.generate();
 
-    RepairOptions Esp;
-    Esp.Backend = DetectBackend::EspBags;
-    Esp.Constructs = constructs::All;
-    std::string EspOut;
-    RepairResult RE = repairSource(Src, EspOut, Esp);
-
-    RepairOptions Vc;
-    Vc.Backend = DetectBackend::VectorClock;
-    Vc.Constructs = constructs::All;
-    std::string VcOut;
-    RepairResult RV = repairSource(Src, VcOut, Vc);
-
-    EXPECT_EQ(RV.Success, RE.Success) << Src;
-    EXPECT_EQ(RV.Error, RE.Error) << Src;
-    EXPECT_EQ(VcOut, EspOut) << Src;
+    RepairOptions Opts;
+    Opts.Constructs = constructs::All;
+    std::string Out;
+    RepairResult R = repairSource(Src, Out, Opts);
+    if (!R.Success)
+      continue;
+    ParsedProgram P = parseAndCheck(Out);
+    ASSERT_TRUE(P.ok()) << P.errors() << "\n" << Out;
+    Detection Oracle = detectRacesOracle(*P.Prog);
+    ASSERT_TRUE(Oracle.ok()) << Oracle.Exec.Error << "\n" << Out;
+    EXPECT_TRUE(Oracle.Report.Pairs.empty()) << Src << "\n->\n" << Out;
   }
 }
 
-INSTANTIATE_TEST_SUITE_P(Seeds, BackendsAgree,
+INSTANTIATE_TEST_SUITE_P(Seeds, DetectorMatchesOracle,
                          ::testing::Values(111u, 222u, 333u, 444u));
 
-//===----------------------------------------------------------------------===//
-// The repair loop is backend-agnostic
-//===----------------------------------------------------------------------===//
-
-TEST(VcBackend, RepairProducesIdenticalProgramAndStats) {
-  RepairOptions Esp;
-  Esp.Backend = DetectBackend::EspBags;
-  Esp.Exec.Args = {5};
-  std::string EspOut;
-  RepairResult RE = repairSource(RacySource, EspOut, Esp);
-  ASSERT_TRUE(RE.Success) << RE.Error;
-
-  RepairOptions Vc;
-  Vc.Backend = DetectBackend::VectorClock;
-  Vc.Exec.Args = {5};
-  std::string VcOut;
-  RepairResult RV = repairSource(RacySource, VcOut, Vc);
-  ASSERT_TRUE(RV.Success) << RV.Error;
-
-  // Identical reports imply identical placement decisions: same repaired
-  // text, same iteration/finish counts, same first-run shape stats.
-  EXPECT_EQ(VcOut, EspOut);
-  EXPECT_EQ(RV.Stats.Iterations, RE.Stats.Iterations);
-  EXPECT_EQ(RV.Stats.FinishesInserted, RE.Stats.FinishesInserted);
-  EXPECT_EQ(RV.Stats.DpstNodes, RE.Stats.DpstNodes);
-  EXPECT_EQ(RV.Stats.RawRaces, RE.Stats.RawRaces);
-  EXPECT_EQ(RV.Stats.RacePairs, RE.Stats.RacePairs);
-  EXPECT_GE(RV.Stats.FinishesInserted, 1u);
+TEST(StreamEnds, RacePairAtBothEndsIsFound) {
+  // The only race pair sits at the two ENDS of the event stream: the
+  // first and last async both write a[0], with ~150 non-conflicting
+  // asyncs between them.
+  const char *Split = R"(
+func touch(a: int[], i: int) {
+  a[i] = a[i] + 1;
 }
 
-TEST(VcBackend, RandomProgramRepairsAgree) {
-  Rng SeedGen(9001);
-  for (int Trial = 0; Trial != 10; ++Trial) {
-    RandomProgramGen Gen(SeedGen.next());
-    std::string Src = Gen.generate();
-
-    RepairOptions Esp;
-    Esp.Backend = DetectBackend::EspBags;
-    std::string EspOut;
-    RepairResult RE = repairSource(Src, EspOut, Esp);
-
-    RepairOptions Vc;
-    Vc.Backend = DetectBackend::VectorClock;
-    std::string VcOut;
-    RepairResult RV = repairSource(Src, VcOut, Vc);
-
-    EXPECT_EQ(RV.Success, RE.Success) << Src;
-    EXPECT_EQ(RV.Error, RE.Error) << Src;
-    EXPECT_EQ(VcOut, EspOut) << Src;
+func main() {
+  var n: int = arg(0);
+  var a: int[] = new int[n + 1];
+  async touch(a, 0);
+  for (var i: int = 1; i < n; i = i + 1) {
+    async touch(a, i);
   }
+  async touch(a, 0);
+  print(0);
 }
-
-TEST(VcBackend, MultiInputRepairSucceeds) {
-  ParsedProgram P = parseAndCheck(RacySource);
+)";
+  ParsedProgram P = parseAndCheck(Split);
   ASSERT_TRUE(P.ok()) << P.errors();
-  std::vector<ExecOptions> Inputs(2);
-  Inputs[0].Args = {3};
-  Inputs[1].Args = {6};
-  MultiRepairResult R = repairProgramForInputs(
-      *P.Prog, *P.Ctx, Inputs, EspBagsDetector::Mode::MRW,
-      /*Store=*/nullptr, /*UseReplay=*/true, DetectBackend::VectorClock);
-  EXPECT_TRUE(R.Success) << R.Error;
-  EXPECT_TRUE(R.FinalVerified);
-}
-
-//===----------------------------------------------------------------------===//
-// Backend selection plumbing
-//===----------------------------------------------------------------------===//
-
-TEST(BackendSelect, ParseAcceptsExactlyTheThreeNames) {
-  DetectBackend B = DetectBackend::EspBags;
-  EXPECT_TRUE(parseDetectBackend("espbags", B));
-  EXPECT_EQ(B, DetectBackend::EspBags);
-  EXPECT_TRUE(parseDetectBackend("vc", B));
-  EXPECT_EQ(B, DetectBackend::VectorClock);
-  EXPECT_TRUE(parseDetectBackend("par", B));
-  EXPECT_EQ(B, DetectBackend::Par);
-  for (const char *Bad :
-       {"", "VC", "EspBags", "vectorclock", "vc ", "bags", "Par", "parallel",
-        "par "}) {
-    DetectBackend Unchanged = DetectBackend::EspBags;
-    EXPECT_FALSE(parseDetectBackend(Bad, Unchanged)) << Bad;
-    EXPECT_EQ(Unchanged, DetectBackend::EspBags) << Bad;
-  }
-  EXPECT_STREQ(detectBackendName(DetectBackend::EspBags), "espbags");
-  EXPECT_STREQ(detectBackendName(DetectBackend::VectorClock), "vc");
-  EXPECT_STREQ(detectBackendName(DetectBackend::Par), "par");
-}
-
-TEST(BackendSelect, EnvPicksTheDefaultBackend) {
-  {
-    EnvVar E("TDR_BACKEND", "vc");
-    EXPECT_EQ(defaultDetectBackend(), DetectBackend::VectorClock);
-  }
-  {
-    EnvVar E("TDR_BACKEND", "espbags");
-    EXPECT_EQ(defaultDetectBackend(), DetectBackend::EspBags);
-  }
-  {
-    EnvVar E("TDR_BACKEND", "par");
-    EXPECT_EQ(defaultDetectBackend(), DetectBackend::Par);
-  }
-  {
-    // The library falls back on garbage; the CLI rejects it with exit 2
-    // (see tools/check_cli.py).
-    EnvVar E("TDR_BACKEND", "warp-drive");
-    EXPECT_EQ(defaultDetectBackend(), DetectBackend::EspBags);
-  }
-  {
-    EnvVar E("TDR_BACKEND", nullptr);
-    EXPECT_EQ(defaultDetectBackend(), DetectBackend::EspBags);
+  ExecOptions Exec;
+  Exec.Args = {150};
+  Detection Oracle = detectRacesOracle(*P.Prog, Exec);
+  ASSERT_EQ(Oracle.Report.Pairs.size(), 1u);
+  for (EspBagsDetector::Mode Mode :
+       {EspBagsDetector::Mode::SRW, EspBagsDetector::Mode::MRW}) {
+    Detection Esp = detectRaces(*P.Prog, Mode, Exec);
+    ASSERT_TRUE(Esp.ok()) << Esp.Exec.Error;
+    EXPECT_TRUE(agreesWithOracle(Mode, Esp.Report, Oracle)) << Split;
   }
 }
 
-TEST(BackendSelect, ModeOnlyOverloadFollowsTheEnv) {
+TEST(AgreementRule, SrwMustFindARaceOnSeriesParallelPrograms) {
   ParsedProgram P = parseAndCheck(RacySource);
   ASSERT_TRUE(P.ok()) << P.errors();
   ExecOptions Exec;
-  Exec.Args = {4};
-
-  EnvVar E("TDR_BACKEND", "vc");
-  obs::MetricsRegistry Reg;
-  obs::ScopedMetrics Scope(Reg);
-  Detection D = detectRaces(*P.Prog, EspBagsDetector::Mode::MRW, Exec);
-  ASSERT_TRUE(D.ok()) << D.Exec.Error;
-  // The vc detector ran (and espbags did not).
-  EXPECT_GT(Reg.counterValue("vc.checks"), 0u);
-  EXPECT_EQ(Reg.counterValue("espbags.checks"), 0u);
-  EXPECT_GT(D.Report.Pairs.size(), 0u);
+  Exec.Args = {5};
+  Detection Oracle = detectRacesOracle(*P.Prog, Exec);
+  ASSERT_TRUE(Oracle.ok()) << Oracle.Exec.Error;
+  ASSERT_FALSE(Oracle.Report.Pairs.empty());
+  Detection Srw = detectRaces(*P.Prog, EspBagsDetector::Mode::SRW, Exec);
+  ASSERT_TRUE(Srw.ok()) << Srw.Exec.Error;
+  EXPECT_TRUE(
+      agreesWithOracle(EspBagsDetector::Mode::SRW, Srw.Report, Oracle));
+  // A subset of the oracle's pairs, but not the empty one: an SRW report
+  // that lost every race of an async/finish program disagrees.
+  EXPECT_FALSE(
+      agreesWithOracle(EspBagsDetector::Mode::SRW, RaceReport(), Oracle));
 }
 
 //===----------------------------------------------------------------------===//
-// TDR_BACKEND_CHECK: every detection runs under both backends
+// TDR_BACKEND_CHECK: every detection is cross-checked against the oracle
 //===----------------------------------------------------------------------===//
 
 TEST(BackendCheck, FreshDetectionIsCrossChecked) {
@@ -382,15 +239,15 @@ TEST(BackendCheck, FreshDetectionIsCrossChecked) {
   EnvVar E("TDR_BACKEND_CHECK", "1");
   obs::MetricsRegistry Reg;
   obs::ScopedMetrics Scope(Reg);
-  Detection D = detectRaces(
-      *P.Prog, options(EspBagsDetector::Mode::MRW, DetectBackend::EspBags),
-      std::move(Exec));
+  Detection D =
+      detectRaces(*P.Prog, EspBagsDetector::Mode::MRW, std::move(Exec));
   ASSERT_TRUE(D.ok()) << D.Exec.Error;
+  EXPECT_GT(D.Report.Pairs.size(), 0u);
   EXPECT_EQ(Reg.counterValue("detect.backend_checks"), 1u);
-  // The secondary run stays off the books: one detection run, and the
-  // other backend's counters did not move in this registry.
+  // The oracle run stays off the books: one detection run, and the
+  // oracle's parallelism queries did not land in this registry.
   EXPECT_EQ(Reg.counterValue("detect.runs"), 1u);
-  EXPECT_EQ(Reg.counterValue("vc.checks"), 0u);
+  EXPECT_EQ(Reg.counterValue("detect.replays"), 0u);
 }
 
 TEST(BackendCheck, ReplayedDetectionIsCrossChecked) {
@@ -402,24 +259,23 @@ TEST(BackendCheck, ReplayedDetectionIsCrossChecked) {
   ExecOptions Exec;
   Exec.Args = {5};
   Exec.Monitor = &Recorder;
-  Detection Fresh = detectRaces(
-      *P.Prog, options(EspBagsDetector::Mode::MRW, DetectBackend::EspBags),
-      std::move(Exec));
+  Detection Fresh =
+      detectRaces(*P.Prog, EspBagsDetector::Mode::MRW, std::move(Exec));
   ASSERT_TRUE(Fresh.ok()) << Fresh.Exec.Error;
   Recorder.flush();
   T.Exec = Fresh.Exec;
 
   EnvVar E("TDR_BACKEND_CHECK", "1");
-  obs::MetricsRegistry Reg;
-  obs::ScopedMetrics Scope(Reg);
-  Detection D = detectRaces(
-      *P.Prog, options(EspBagsDetector::Mode::MRW, DetectBackend::VectorClock),
-      T, trace::ReplayPlan());
-  ASSERT_TRUE(D.ok()) << D.Exec.Error;
-  EXPECT_EQ(Reg.counterValue("detect.backend_checks"), 1u);
-  EXPECT_EQ(Reg.counterValue("detect.runs"), 1u);
-  EXPECT_EQ(Reg.counterValue("espbags.checks"), 0u);
-  EXPECT_EQ(renderRaceReportKey(D.Report), renderRaceReportKey(Fresh.Report));
+  for (EspBagsDetector::Mode Mode :
+       {EspBagsDetector::Mode::SRW, EspBagsDetector::Mode::MRW}) {
+    obs::MetricsRegistry Reg;
+    obs::ScopedMetrics Scope(Reg);
+    Detection D = detectRaces(*P.Prog, Mode, T, trace::ReplayPlan());
+    ASSERT_TRUE(D.ok()) << D.Exec.Error;
+    EXPECT_EQ(Reg.counterValue("detect.backend_checks"), 1u);
+    EXPECT_EQ(Reg.counterValue("detect.runs"), 1u);
+    EXPECT_EQ(Reg.counterValue("detect.replays"), 1u);
+  }
 }
 
 TEST(BackendCheck, ZeroAndUnsetDisableTheCheck) {
@@ -440,180 +296,29 @@ TEST(BackendCheck, ZeroAndUnsetDisableTheCheck) {
   EXPECT_TRUE(backendCheckEnv());
 }
 
-TEST(BackendCheck, WholeRepairRunsCheckedUnderEveryPrimary) {
-  // End-to-end: a full (replaying) repair under TDR_BACKEND_CHECK, with
-  // each backend as the primary, still succeeds and produces the same
-  // program — every detection along the way was cross-checked.
-  EnvVar E("TDR_BACKEND_CHECK", "1");
-  std::string Outs[3];
-  int I = 0;
-  for (DetectBackend B : {DetectBackend::EspBags, DetectBackend::VectorClock,
-                          DetectBackend::Par}) {
+TEST(BackendCheck, WholeRepairRunsCheckedInBothModes) {
+  // End-to-end: a full (replaying) repair under TDR_BACKEND_CHECK still
+  // succeeds and produces the same program as an unchecked one — every
+  // detection along the way was cross-checked.
+  for (EspBagsDetector::Mode Mode :
+       {EspBagsDetector::Mode::SRW, EspBagsDetector::Mode::MRW}) {
+    RepairOptions Opts;
+    Opts.Mode = Mode;
+    Opts.Exec.Args = {5};
+    std::string Plain;
+    RepairResult Unchecked = repairSource(RacySource, Plain, Opts);
+    ASSERT_TRUE(Unchecked.Success) << Unchecked.Error;
+
+    EnvVar E("TDR_BACKEND_CHECK", "1");
     obs::MetricsRegistry Reg;
     obs::ScopedMetrics Scope(Reg);
-    RepairOptions Opts;
-    Opts.Backend = B;
-    Opts.Exec.Args = {5};
-    RepairResult R = repairSource(RacySource, Outs[I], Opts);
+    std::string Checked;
+    RepairResult R = repairSource(RacySource, Checked, Opts);
     ASSERT_TRUE(R.Success) << R.Error;
     EXPECT_GE(Reg.counterValue("detect.backend_checks"),
               static_cast<uint64_t>(R.Stats.Iterations));
-    ++I;
+    EXPECT_EQ(Checked, Plain);
   }
-  EXPECT_EQ(Outs[0], Outs[1]);
-  EXPECT_EQ(Outs[0], Outs[2]);
-}
-
-//===----------------------------------------------------------------------===//
-// The partitioned backend: chunk boundaries and worker-count independence
-//===----------------------------------------------------------------------===//
-
-/// Records one execution of \p P into \p T and returns the ESP-bags
-/// reference detection over that exact stream.
-Detection recordAndReference(const ParsedProgram &P, trace::InputTrace &T,
-                             EspBagsDetector::Mode Mode, int Arg) {
-  trace::RecorderMonitor Recorder(T.Log);
-  ExecOptions Exec;
-  Exec.Args = {Arg};
-  Exec.Monitor = &Recorder;
-  Detection Fresh =
-      detectRaces(*P.Prog, options(Mode, DetectBackend::EspBags),
-                  std::move(Exec));
-  EXPECT_TRUE(Fresh.ok()) << Fresh.Exec.Error;
-  Recorder.flush();
-  T.Exec = Fresh.Exec;
-  return detectRaces(*P.Prog, options(Mode, DetectBackend::EspBags), T,
-                     trace::ReplayPlan());
-}
-
-TEST(ParBackend, RacePairSplitAcrossChunkBoundaryIsFound) {
-  // The only race pair sits at the two ENDS of the event stream: the
-  // first and last async both write a[0], with ~150 non-conflicting
-  // asyncs between them. Any partition into 2+ chunks separates the two
-  // accesses, so the pair can only come out of the cross-chunk merge
-  // phase — per-chunk scanning alone never sees both sides.
-  const char *Split = R"(
-func touch(a: int[], i: int) {
-  a[i] = a[i] + 1;
-}
-
-func main() {
-  var n: int = arg(0);
-  var a: int[] = new int[n + 1];
-  async touch(a, 0);
-  for (var i: int = 1; i < n; i = i + 1) {
-    async touch(a, i);
-  }
-  async touch(a, 0);
-  print(0);
-}
-)";
-  ParsedProgram P = parseAndCheck(Split);
-  ASSERT_TRUE(P.ok()) << P.errors();
-  for (EspBagsDetector::Mode Mode :
-       {EspBagsDetector::Mode::SRW, EspBagsDetector::Mode::MRW}) {
-    trace::InputTrace T;
-    Detection Ref = recordAndReference(P, T, Mode, /*Arg=*/150);
-    ASSERT_EQ(Ref.Report.Pairs.size(), 1u);
-
-    for (unsigned W : {1u, 2u, 3u, 8u}) {
-      DetectOptions O = options(Mode, DetectBackend::Par);
-      O.ParWorkers = W;
-      Detection Par = detectRaces(*P.Prog, O, T, trace::ReplayPlan());
-      ASSERT_TRUE(Par.ok()) << Par.Exec.Error;
-      expectSameKey(Par, Ref, "workers=" + std::to_string(W));
-      ASSERT_EQ(Par.Report.Pairs.size(), 1u) << "workers=" << W;
-      EXPECT_EQ(Par.Report.Pairs[0].Src->id(), Ref.Report.Pairs[0].Src->id());
-      EXPECT_EQ(Par.Report.Pairs[0].Snk->id(), Ref.Report.Pairs[0].Snk->id());
-    }
-  }
-}
-
-TEST(ParBackend, ReportIsWorkerCountIndependent) {
-  // The report must be a pure function of the event stream: sweeping the
-  // worker count (1 = the inline no-pool path; 8 forces chunks far
-  // smaller than the snapping granularity) must not change a byte.
-  ParsedProgram P = parseAndCheck(RacySource);
-  ASSERT_TRUE(P.ok()) << P.errors();
-  for (EspBagsDetector::Mode Mode :
-       {EspBagsDetector::Mode::SRW, EspBagsDetector::Mode::MRW}) {
-    trace::InputTrace T;
-    Detection Ref = recordAndReference(P, T, Mode, /*Arg=*/40);
-    EXPECT_GT(Ref.Report.Pairs.size(), 1u);
-
-    for (unsigned W : {1u, 2u, 3u, 8u}) {
-      DetectOptions O = options(Mode, DetectBackend::Par);
-      O.ParWorkers = W;
-      Detection Par = detectRaces(*P.Prog, O, T, trace::ReplayPlan());
-      ASSERT_TRUE(Par.ok()) << Par.Exec.Error;
-      expectSameKey(Par, Ref, "workers=" + std::to_string(W));
-      ASSERT_EQ(Par.Report.Pairs.size(), Ref.Report.Pairs.size());
-      for (size_t I = 0; I != Par.Report.Pairs.size(); ++I) {
-        EXPECT_EQ(Par.Report.Pairs[I].Src->id(), Ref.Report.Pairs[I].Src->id())
-            << "workers=" << W << " pair " << I;
-        EXPECT_EQ(Par.Report.Pairs[I].Snk->id(), Ref.Report.Pairs[I].Snk->id())
-            << "workers=" << W << " pair " << I;
-      }
-    }
-  }
-}
-
-TEST(ParBackend, ResolveWorkersPrecedence) {
-  // Explicit request wins outright (no cap, no clamp).
-  {
-    EnvVar E("TDR_PAR_WORKERS", "3");
-    EXPECT_EQ(resolveParWorkers(5, 1u << 20), 5u);
-  }
-  // Then the environment, capped at 64 and ignoring garbage.
-  {
-    EnvVar E("TDR_PAR_WORKERS", "3");
-    EXPECT_EQ(resolveParWorkers(0, 1u << 20), 3u);
-  }
-  {
-    EnvVar E("TDR_PAR_WORKERS", "9999");
-    EXPECT_EQ(resolveParWorkers(0, 1u << 20), 64u);
-  }
-  // Hardware default: small logs clamp down to one worker per ~2k
-  // records, and the result is always at least 1.
-  {
-    EnvVar E("TDR_PAR_WORKERS", nullptr);
-    EXPECT_EQ(resolveParWorkers(0, 0), 1u);
-    EXPECT_EQ(resolveParWorkers(0, 100), 1u);
-    EXPECT_GE(resolveParWorkers(0, 1u << 20), 1u);
-    EXPECT_LE(resolveParWorkers(0, 1u << 20), 8u);
-  }
-  {
-    EnvVar E("TDR_PAR_WORKERS", "not-a-number");
-    EXPECT_EQ(resolveParWorkers(0, 100), 1u);
-  }
-}
-
-TEST(ParBackend, LiveModeCoalescesWithACallerMonitor) {
-  // Live par mode records the stream itself; a caller-supplied monitor
-  // (e.g. the repair loop's own recorder) must still see every event.
-  ParsedProgram P = parseAndCheck(RacySource);
-  ASSERT_TRUE(P.ok()) << P.errors();
-
-  trace::InputTrace Mine;
-  trace::RecorderMonitor Recorder(Mine.Log);
-  ExecOptions Exec;
-  Exec.Args = {6};
-  Exec.Monitor = &Recorder;
-  Detection Par =
-      detectRaces(*P.Prog, options(EspBagsDetector::Mode::MRW,
-                                   DetectBackend::Par),
-                  std::move(Exec));
-  ASSERT_TRUE(Par.ok()) << Par.Exec.Error;
-  Recorder.flush();
-  Mine.Exec = Par.Exec;
-  EXPECT_GT(Mine.Log.size(), 0u);
-
-  // My recording replays to the same report under the reference backend.
-  Detection Ref =
-      detectRaces(*P.Prog, options(EspBagsDetector::Mode::MRW,
-                                   DetectBackend::EspBags),
-                  Mine, trace::ReplayPlan());
-  expectSameKey(Par, Ref, "live par vs replayed espbags");
 }
 
 } // namespace

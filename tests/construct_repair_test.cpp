@@ -332,26 +332,20 @@ TEST(ConstructSuite, ForasyncStencilIsRepairedByFinish) {
 // Differential discipline on the construct programs
 //===----------------------------------------------------------------------===//
 
-TEST(ConstructSuite, DetectionIsBackendIdentical) {
+TEST(ConstructSuite, DetectionMatchesTheOracle) {
   for (const BenchmarkSpec &Spec : constructBenchmarks()) {
-    std::string Keys[3];
-    const DetectBackend Backends[3] = {DetectBackend::EspBags,
-                                       DetectBackend::VectorClock,
-                                       DetectBackend::Par};
-    for (int I = 0; I != 3; ++I) {
-      ParsedProgram P = parseAndCheck(Spec.Source);
-      ASSERT_TRUE(P.ok()) << Spec.Name << ": " << P.errors();
-      DetectOptions Opts;
-      Opts.Backend = Backends[I];
-      ExecOptions Exec;
-      Exec.Args = Spec.RepairArgs;
-      Detection D = detectRaces(*P.Prog, Opts, std::move(Exec));
-      ASSERT_TRUE(D.ok()) << Spec.Name << ": " << D.Exec.Error;
-      EXPECT_FALSE(D.Report.Pairs.empty()) << Spec.Name;
-      Keys[I] = renderRaceReportKey(D.Report);
-    }
-    EXPECT_EQ(Keys[0], Keys[1]) << Spec.Name << ": espbags vs vc";
-    EXPECT_EQ(Keys[0], Keys[2]) << Spec.Name << ": espbags vs par";
+    ParsedProgram P = parseAndCheck(Spec.Source);
+    ASSERT_TRUE(P.ok()) << Spec.Name << ": " << P.errors();
+    ExecOptions Exec;
+    Exec.Args = Spec.RepairArgs;
+    Detection D = detectRaces(*P.Prog, EspBagsDetector::Mode::MRW, Exec);
+    ASSERT_TRUE(D.ok()) << Spec.Name << ": " << D.Exec.Error;
+    EXPECT_FALSE(D.Report.Pairs.empty()) << Spec.Name;
+    Detection Oracle = detectRacesOracle(*P.Prog, Exec);
+    ASSERT_TRUE(Oracle.ok()) << Spec.Name << ": " << Oracle.Exec.Error;
+    EXPECT_EQ(renderRaceReportKey(D.Report),
+              renderRaceReportKey(Oracle.Report))
+        << Spec.Name;
   }
 }
 

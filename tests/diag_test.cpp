@@ -127,6 +127,72 @@ TEST(Witness, RenderedTextCarriesCaretsAndTheorem1Argument) {
   EXPECT_NE(Colored.find("\x1b["), std::string::npos);
 }
 
+/// A future whose write races with the spawner's read of a[1].
+const char *FutureRace = R"(
+func produce(a: int[]): int {
+  a[1] = 7;
+  return 1;
+}
+func main() {
+  var a: int[] = new int[2];
+  future f = produce(a);
+  print(a[1]);
+}
+)";
+
+TEST(Witness, FutureRaceNamesTheFutureAsTheBreakingTask) {
+  ParsedProgram P = parseAndCheck(FutureRace);
+  ASSERT_TRUE(P.ok()) << P.errors();
+
+  trace::EventLog Log;
+  Detection D = detectWithLog(*P.Prog, Log);
+  ASSERT_TRUE(D.ok()) << D.Exec.Error;
+  ASSERT_EQ(D.Report.Pairs.size(), 1u);
+  std::vector<diag::RaceWitness> Ws =
+      diag::buildWitnesses(*D.Tree, D.Report, P.SM.get(), &Log);
+  ASSERT_EQ(Ws.size(), 1u);
+  const diag::RaceWitness &W = Ws[0];
+
+  // The unjoined future at 8:3 is the Theorem-1 evidence, and the write's
+  // spine starts at it with its kind and position.
+  EXPECT_TRUE(W.HasBreakingAsync);
+  EXPECT_EQ(W.BreakingAsyncPos.Line, 8u);
+  EXPECT_EQ(W.BreakingAsyncPos.Col, 3u);
+  ASSERT_FALSE(W.SrcSpine.empty());
+  EXPECT_EQ(W.SrcSpine.front().Id, W.BreakingAsyncId);
+  EXPECT_EQ(W.SrcSpine.front().Kind, DpstKind::Future);
+  EXPECT_EQ(W.SrcSpine.front().Pos.Line, 8u);
+
+  std::string Text = diag::renderWitnessText(W);
+  EXPECT_NE(Text.find("future#"), std::string::npos) << Text;
+  EXPECT_NE(Text.find("escapes it unjoined"), std::string::npos) << Text;
+  EXPECT_EQ(Text.find("no breaking async"), std::string::npos) << Text;
+
+  // The report names the kind, and `tdr explain` reads it back.
+  diag::RunReport Rep;
+  Rep.Tool = "races";
+  Rep.Mode = "mrw";
+  diag::JobReport Job;
+  Job.Name = "future.hj";
+  Job.Success = true;
+  Job.Diag.Iterations.push_back({});
+  Job.Diag.Iterations.back().Witnesses = Ws;
+  Rep.Jobs.push_back(std::move(Job));
+  std::string JsonText = diag::renderRunReportJson(Rep);
+  EXPECT_NE(JsonText.find("\"kind\":\"future\""), std::string::npos)
+      << JsonText;
+  EXPECT_EQ(JsonText.find("\"kind\":\"?\""), std::string::npos) << JsonText;
+  json::ParseResult Parsed = json::parse(JsonText);
+  ASSERT_TRUE(Parsed.Ok) << Parsed.Error;
+  std::string Out, Err;
+  ASSERT_TRUE(diag::renderExplainText(Parsed.Doc, false, Out, Err)) << Err;
+  EXPECT_NE(Out.find("future#"), std::string::npos) << Out;
+  EXPECT_EQ(Out.find("root#" + std::to_string(W.BreakingAsyncId)),
+            std::string::npos)
+      << Out;
+  EXPECT_EQ(Out.find("no breaking async"), std::string::npos) << Out;
+}
+
 TEST(Witness, DiffersPerInputOnInputDependentProgram) {
   ParsedProgram P = parseAndCheck(InputDependent);
   ASSERT_TRUE(P.ok()) << P.errors();
@@ -230,7 +296,6 @@ TEST(RunReport, JsonRoundTripsThroughParserAndExplain) {
 
   diag::RunReport Rep;
   Rep.Tool = "repair";
-  Rep.Backend = "espbags";
   Rep.Mode = "mrw";
   diag::JobReport Job;
   Job.Name = "test.hj";
@@ -265,30 +330,28 @@ TEST(RunReport, JsonRoundTripsThroughParserAndExplain) {
   EXPECT_FALSE(Err.empty());
 }
 
-TEST(RunReport, WitnessSectionsBackendIdentical) {
-  // The report's diagnostic subtree must not depend on the backend that
-  // found the races (the cross-backend contract check_report.py enforces
-  // end to end; here at the library level).
+TEST(RunReport, WitnessSectionsMatchTheOracle) {
+  // The report's diagnostic subtree depends only on the race report, so
+  // witnesses built from the oracle's report must render exactly like the
+  // ones built from ESP-bags'.
   ParsedProgram P = parseAndCheck(InputDependent);
   ASSERT_TRUE(P.ok()) << P.errors();
 
   std::string Sections[2];
-  const DetectBackend Backends[2] = {DetectBackend::EspBags,
-                                     DetectBackend::VectorClock};
   for (int I = 0; I != 2; ++I) {
     trace::EventLog Log;
     trace::RecorderMonitor Recorder(Log);
     ExecOptions Exec;
     Exec.Args = {20};
     Exec.Monitor = &Recorder;
-    DetectOptions DO;
-    DO.Backend = Backends[I];
-    Detection D = detectRaces(*P.Prog, DO, Exec);
+    Detection D = I ? detectRacesOracle(*P.Prog, Exec)
+                    : detectRaces(*P.Prog, EspBagsDetector::Mode::MRW, Exec);
     Recorder.flush();
     std::vector<diag::RaceWitness> Ws =
         diag::buildWitnesses(*D.Tree, D.Report, P.SM.get(), &Log);
     Sections[I] = diag::renderWitnessesText(Ws);
   }
+  EXPECT_FALSE(Sections[0].empty());
   EXPECT_EQ(Sections[0], Sections[1]);
 }
 

@@ -67,8 +67,7 @@ bool stillRaces(const std::string &Source) {
   runSema(*Prog, Ctx, Diags);
   if (Diags.hasErrors())
     return false;
-  Detection D = detectRaces(*Prog, DetectOptions{EspBagsDetector::Mode::MRW,
-                                                 DetectBackend::EspBags});
+  Detection D = detectRaces(*Prog, EspBagsDetector::Mode::MRW);
   return D.ok() && !D.Report.Pairs.empty();
 }
 
@@ -222,7 +221,7 @@ TEST(Oracle, FindingKindNamesRoundTrip) {
   for (fuzz::FindingKind K :
        {fuzz::FindingKind::ParseError, fuzz::FindingKind::ExecError,
         fuzz::FindingKind::BackendMismatch,
-        fuzz::FindingKind::ReplayDivergence, fuzz::FindingKind::RepairDisagree,
+        fuzz::FindingKind::ReplayDivergence,
         fuzz::FindingKind::RepairNotConverged}) {
     fuzz::FindingKind Parsed;
     ASSERT_TRUE(fuzz::parseFindingKind(fuzz::findingKindName(K), Parsed));

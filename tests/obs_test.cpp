@@ -27,13 +27,6 @@ using namespace tdr;
 
 namespace {
 
-/// The per-detector counter family tracks the active backend: the suite
-/// also runs under TDR_BACKEND=vc (see CI), where espbags.* stays flat and
-/// vc.* moves instead.
-std::string detectorCounter(const char *Suffix) {
-  return std::string(detectBackendName(defaultDetectBackend())) + "." + Suffix;
-}
-
 /// Minimal recursive-descent JSON validity checker (values, objects,
 /// arrays, strings with escapes, numbers, true/false/null). Enough to
 /// assert the emitters produce well-formed JSON without a dependency.
@@ -380,7 +373,7 @@ TEST(Metrics, ScopedRepairLandsInScopedRegistryOnly) {
   ASSERT_TRUE(R.Success) << R.Error;
   // The whole pipeline reported into the scoped registry...
   EXPECT_GT(JobRegistry.counterValue("detect.runs"), 0u);
-  EXPECT_GT(JobRegistry.counterValue(detectorCounter("checks")), 0u);
+  EXPECT_GT(JobRegistry.counterValue("espbags.checks"), 0u);
   EXPECT_GT(JobRegistry.counterValue("dpst.nodes"), 0u);
   EXPECT_EQ(JobRegistry.counterValue("repair.finishes_inserted"),
             R.Stats.FinishesInserted);
@@ -575,8 +568,8 @@ TEST(Metrics, EndToEndRepairIncrementsPipelineCounters) {
   const std::string PipelineCounters[] = {
       "frontend.parses",  "sema.runs",
       "interp.runs",      "interp.asyncs",
-      "dpst.nodes",       detectorCounter("checks"),
-      detectorCounter("writes"),
+      "dpst.nodes",       "espbags.checks",
+      "espbags.writes",
       "race.reports_raw", "race.pairs",
       "detect.runs",      "repair.iterations",
       "repair.finishes_inserted",

@@ -1,19 +1,18 @@
-//===- shadow_diff_test.cpp - Flat vs map shadow differential tests -------===//
+//===- shadow_diff_test.cpp - Flat shadow vs oracle differential tests ----===//
 //
 // Part of the tdr project (PLDI 2014 race-repair reproduction).
 //
-// The flat-shadow fast path (paged direct-map shadow memory, small-vector
-// access lists, fused monitor dispatch, step caching) is a pure
-// representation change: on every program it must produce the IDENTICAL
-// RaceReport as the frozen pre-change detectors in RefDetectors.h. These
-// tests check that on ~100 random programs per detector variant, plus the
-// pair-key packing and the opt-in MRW reader compaction.
+// The ESP-bags fast path (paged direct-map shadow memory, small-vector
+// access lists, fused monitor dispatch, step caching) must produce the
+// IDENTICAL MRW RaceReport as the Theorem-1 oracle, whose shadow state is
+// a plain hash map of vectors. These tests check that on random programs,
+// plus the pair-key packing and the opt-in MRW reader compaction.
 //
 // The two-level compressed shadow map (ShadowMemory.h) is held to the same
 // bar on the access shapes it exists for: random programs biased to huge
-// strided heap indices must produce reports byte-identical to the frozen
-// reference across all three production backends, fresh and replayed, and
-// the sparse footprint / no-access-page COW invariants are pinned directly.
+// strided heap indices must produce reports byte-identical to the oracle,
+// fresh and replayed, and the sparse footprint / no-access-page COW
+// invariants are pinned directly.
 //
 //===----------------------------------------------------------------------===//
 
@@ -22,12 +21,10 @@
 
 #include "ast/Transforms.h"
 #include "race/Detect.h"
-#include "race/RefDetectors.h"
 #include "race/ShadowMemory.h"
 #include "trace/Replay.h"
 
-#include <algorithm>
-#include <set>
+#include <unordered_set>
 
 using namespace tdr;
 using namespace tdr::test;
@@ -36,48 +33,15 @@ namespace {
 
 /// A report plus the tree its step pointers live in (the pairs point into
 /// the Dpst, so it must outlive them).
-struct RefRun {
+struct CompactedRun {
   std::unique_ptr<Dpst> Tree = std::make_unique<Dpst>();
   RaceReport Report;
 };
 
-/// Runs \p P under the frozen map-shadow ESP-bags detector with the exact
-/// pre-fast-path wiring (builder and detector fanned out by a pipeline).
-RefRun runRefEspBags(ParsedProgram &P, EspBagsDetector::Mode Mode) {
-  RefRun Run;
-  DpstBuilder Builder(*Run.Tree);
-  RefEspBagsDetector Det(Mode, Builder);
-  MonitorPipeline Pipeline;
-  Pipeline.add(&Builder);
-  Pipeline.add(&Det);
-  ExecOptions Exec;
-  Exec.Monitor = &Pipeline;
-  ExecResult R = runProgram(*P.Prog, std::move(Exec));
-  EXPECT_TRUE(R.Ok) << R.Error;
-  Run.Report = Det.takeReport();
-  return Run;
-}
-
-/// Ditto for the frozen map-shadow Theorem-1 oracle.
-RefRun runRefOracle(ParsedProgram &P) {
-  RefRun Run;
-  DpstBuilder Builder(*Run.Tree);
-  RefOracleDetector Det(*Run.Tree, Builder);
-  MonitorPipeline Pipeline;
-  Pipeline.add(&Builder);
-  Pipeline.add(&Det);
-  ExecOptions Exec;
-  Exec.Monitor = &Pipeline;
-  ExecResult R = runProgram(*P.Prog, std::move(Exec));
-  EXPECT_TRUE(R.Ok) << R.Error;
-  Run.Report = Det.takeReport();
-  return Run;
-}
-
 /// Runs \p P under the flat-shadow ESP-bags detector with an explicit
 /// reader-compaction threshold (detectRaces always leaves compaction off).
-RefRun runFlatCompacting(ParsedProgram &P, uint32_t Threshold) {
-  RefRun Run;
+CompactedRun runFlatCompacting(ParsedProgram &P, uint32_t Threshold) {
+  CompactedRun Run;
   DpstBuilder Builder(*Run.Tree);
   EspBagsDetector Det(EspBagsDetector::Mode::MRW, Builder);
   Det.setReaderCompaction(Threshold);
@@ -90,39 +54,13 @@ RefRun runFlatCompacting(ParsedProgram &P, uint32_t Threshold) {
   return Run;
 }
 
-/// Asserts the two reports are identical record for record. Steps live in
-/// different trees, so they are compared by id — node ids are assigned in
-/// the canonical execution order and thus stable across runs of the same
-/// program.
-void expectIdenticalReports(const RaceReport &Flat, const RaceReport &Map,
-                            const std::string &Src) {
-  EXPECT_EQ(Flat.RawCount, Map.RawCount) << Src;
-  ASSERT_EQ(Flat.Pairs.size(), Map.Pairs.size()) << Src;
-  for (size_t I = 0; I != Flat.Pairs.size(); ++I) {
-    const RacePair &F = Flat.Pairs[I];
-    const RacePair &M = Map.Pairs[I];
-    EXPECT_EQ(F.Src->id(), M.Src->id()) << "pair " << I << "\n" << Src;
-    EXPECT_EQ(F.Snk->id(), M.Snk->id()) << "pair " << I << "\n" << Src;
-    EXPECT_TRUE(F.Loc == M.Loc) << "pair " << I << "\n" << Src;
-    EXPECT_EQ(F.SrcKind, M.SrcKind) << "pair " << I << "\n" << Src;
-    EXPECT_EQ(F.SnkKind, M.SnkKind) << "pair " << I << "\n" << Src;
-  }
-}
-
-std::set<std::pair<uint32_t, uint32_t>> pairIdSet(const RaceReport &R) {
-  std::set<std::pair<uint32_t, uint32_t>> S;
-  for (const RacePair &P : R.Pairs)
-    S.insert({P.Src->id(), P.Snk->id()});
-  return S;
-}
-
 //===----------------------------------------------------------------------===//
-// Differential: flat shadow == frozen map shadow on random programs
+// Differential: flat shadow == oracle's map shadow on random programs
 //===----------------------------------------------------------------------===//
 
-class FlatVsMapShadow : public ::testing::TestWithParam<uint64_t> {};
+class FlatShadowVsOracle : public ::testing::TestWithParam<uint64_t> {};
 
-TEST_P(FlatVsMapShadow, EspBagsReportsAreIdentical) {
+TEST_P(FlatShadowVsOracle, EspBagsReportsAgree) {
   Rng SeedGen(GetParam());
   for (int Trial = 0; Trial != 25; ++Trial) {
     RandomProgramGen Gen(SeedGen.next());
@@ -130,37 +68,22 @@ TEST_P(FlatVsMapShadow, EspBagsReportsAreIdentical) {
     ParsedProgram P = parseAndCheck(Src);
     ASSERT_TRUE(P.ok()) << P.errors() << "\n" << Src;
 
+    Detection Oracle = detectRacesOracle(*P.Prog);
+    ASSERT_TRUE(Oracle.ok()) << Oracle.Exec.Error << "\n" << Src;
     for (EspBagsDetector::Mode Mode :
          {EspBagsDetector::Mode::SRW, EspBagsDetector::Mode::MRW}) {
       Detection Flat = detectRaces(*P.Prog, Mode);
       ASSERT_TRUE(Flat.ok()) << Flat.Exec.Error << "\n" << Src;
-      RefRun Map = runRefEspBags(P, Mode);
-      expectIdenticalReports(Flat.Report, Map.Report, Src);
+      EXPECT_TRUE(agreesWithOracle(Mode, Flat.Report, Oracle)) << Src;
     }
   }
 }
 
-TEST_P(FlatVsMapShadow, OracleReportsAreIdentical) {
-  Rng SeedGen(GetParam() ^ 0x9e3779b9);
-  // The Theorem-1 oracle is O(tree depth) per access pair; fewer trials.
-  for (int Trial = 0; Trial != 10; ++Trial) {
-    RandomProgramGen Gen(SeedGen.next());
-    std::string Src = Gen.generate();
-    ParsedProgram P = parseAndCheck(Src);
-    ASSERT_TRUE(P.ok()) << P.errors() << "\n" << Src;
-
-    Detection Flat = detectRacesOracle(*P.Prog);
-    ASSERT_TRUE(Flat.ok()) << Flat.Exec.Error << "\n" << Src;
-    RefRun Map = runRefOracle(P);
-    expectIdenticalReports(Flat.Report, Map.Report, Src);
-  }
-}
-
-INSTANTIATE_TEST_SUITE_P(Seeds, FlatVsMapShadow,
+INSTANTIATE_TEST_SUITE_P(Seeds, FlatShadowVsOracle,
                          ::testing::Values(101u, 202u, 303u, 404u));
 
 //===----------------------------------------------------------------------===//
-// Differential: two-level shadow on sparse giant heaps, all backends
+// Differential: two-level shadow on sparse giant heaps
 //===----------------------------------------------------------------------===//
 
 /// Records one interpretation of \p P for the replayed leg.
@@ -174,13 +97,13 @@ trace::InputTrace recordTrace(ParsedProgram &P) {
   return T;
 }
 
-TEST(SparseHeapDifferential, AllBackendsMatchFrozenRefFreshAndReplayed) {
+TEST(SparseHeapDifferential, EspBagsMatchesOracleFreshAndReplayed) {
   // Sparse-heap profile: 2^18-cell arrays, indices biased to hot low
   // cells, a hot page at the top of the span, and page-hostile stride
   // sweeps — the distribution the two-level map's table, no-access page,
-  // and one-entry cache all have to get right. Every production backend
-  // must match the frozen map-shadow reference byte for byte, both on a
-  // fresh interpretation and on a replayed event log.
+  // and one-entry cache all have to get right. ESP-bags must agree with
+  // the oracle's hash-map shadow, both on a fresh interpretation and on a
+  // replayed event log.
   Rng SeedGen(0x5AD5E001);
   for (int Trial = 0; Trial != 6; ++Trial) {
     RandomProgramGen Gen(SeedGen.next());
@@ -193,52 +116,23 @@ TEST(SparseHeapDifferential, AllBackendsMatchFrozenRefFreshAndReplayed) {
     ASSERT_TRUE(T.Exec.Ok) << T.Exec.Error << "\n" << Src;
     FinishEditMap NoEdits;
     trace::ReplayPlan Plan = trace::buildReplayPlan(*P.Prog, NoEdits);
+    Detection Oracle = detectRacesOracle(*P.Prog);
+    ASSERT_TRUE(Oracle.ok()) << Oracle.Exec.Error << "\n" << Src;
 
     for (EspBagsDetector::Mode Mode :
          {EspBagsDetector::Mode::SRW, EspBagsDetector::Mode::MRW}) {
-      RefRun Ref = runRefEspBags(P, Mode);
-      std::string RefKey = renderRaceReportKey(Ref.Report);
+      Detection Fresh = detectRaces(*P.Prog, Mode);
+      ASSERT_TRUE(Fresh.ok()) << Fresh.Exec.Error << "\n" << Src;
+      EXPECT_TRUE(agreesWithOracle(Mode, Fresh.Report, Oracle))
+          << "fresh\n" << Src;
 
-      for (DetectBackend Backend :
-           {DetectBackend::EspBags, DetectBackend::VectorClock,
-            DetectBackend::Par}) {
-        DetectOptions Opts;
-        Opts.Mode = Mode;
-        Opts.Backend = Backend;
-
-        Detection Fresh = detectRaces(*P.Prog, Opts);
-        ASSERT_TRUE(Fresh.ok()) << Fresh.Exec.Error << "\n" << Src;
-        EXPECT_EQ(renderRaceReportKey(Fresh.Report), RefKey)
-            << "fresh " << detectBackendName(Backend) << " mode "
-            << static_cast<int>(Mode) << "\n"
-            << Src;
-
-        Detection Replayed = detectRaces(*P.Prog, Opts, T, Plan);
-        ASSERT_TRUE(Replayed.ok()) << Replayed.Exec.Error << "\n" << Src;
-        EXPECT_EQ(renderRaceReportKey(Replayed.Report), RefKey)
-            << "replayed " << detectBackendName(Backend) << " mode "
-            << static_cast<int>(Mode) << "\n"
-            << Src;
-      }
+      Detection Replayed = detectRaces(*P.Prog, Mode, T, Plan);
+      ASSERT_TRUE(Replayed.ok()) << Replayed.Exec.Error << "\n" << Src;
+      EXPECT_EQ(renderRaceReportKey(Replayed.Report),
+                renderRaceReportKey(Fresh.Report))
+          << "replayed mode " << static_cast<int>(Mode) << "\n"
+          << Src;
     }
-  }
-}
-
-TEST(SparseHeapDifferential, OracleMatchesFrozenRefOnSparseHeaps) {
-  Rng SeedGen(0x5AD5E002);
-  // The oracle walks the tree per access pair; a couple of programs is
-  // plenty to cross-check the shared shadow plumbing.
-  for (int Trial = 0; Trial != 2; ++Trial) {
-    RandomProgramGen Gen(SeedGen.next());
-    Gen.enableSparseHeap();
-    std::string Src = Gen.generate();
-    ParsedProgram P = parseAndCheck(Src);
-    ASSERT_TRUE(P.ok()) << P.errors() << "\n" << Src;
-
-    Detection Fresh = detectRacesOracle(*P.Prog);
-    ASSERT_TRUE(Fresh.ok()) << Fresh.Exec.Error << "\n" << Src;
-    RefRun Ref = runRefOracle(P);
-    expectIdenticalReports(Fresh.Report, Ref.Report, Src);
   }
 }
 
@@ -375,17 +269,19 @@ TEST(ReaderCompaction, PairsSubsetAndDetectionPreserved) {
     ASSERT_TRUE(Full.ok());
     // Aggressive threshold so compaction actually fires on the 8-cell
     // random programs.
-    RefRun Compacted = runFlatCompacting(P, /*Threshold=*/2);
+    CompactedRun Compacted = runFlatCompacting(P, /*Threshold=*/2);
 
-    auto FullSet = pairIdSet(Full.Report);
-    auto CompactSet = pairIdSet(Compacted.Report);
-    EXPECT_TRUE(std::includes(FullSet.begin(), FullSet.end(),
-                              CompactSet.begin(), CompactSet.end()))
-        << Src;
+    std::unordered_set<uint64_t> FullPairs;
+    for (const RacePair &R : Full.Report.Pairs)
+      FullPairs.insert(packRacePairKey(R.Src->id(), R.Snk->id()));
+    for (const RacePair &R : Compacted.Report.Pairs)
+      EXPECT_TRUE(FullPairs.count(packRacePairKey(R.Src->id(), R.Snk->id())))
+          << Src;
     // Compaction keeps one reader per union-find representative, which is
     // enough to keep *detecting* every race even when it no longer
     // *enumerates* every racing pair.
-    EXPECT_EQ(CompactSet.empty(), FullSet.empty()) << Src;
+    EXPECT_EQ(Compacted.Report.Pairs.empty(), Full.Report.Pairs.empty())
+        << Src;
   }
 }
 
@@ -394,11 +290,8 @@ TEST(ReaderCompaction, PairsSubsetAndDetectionPreserved) {
 //===----------------------------------------------------------------------===//
 
 TEST(ConstructShadow, EspBagsMatchesOracleOnConstructPrograms) {
-  // The frozen map-shadow references predate future/isolated and stay
-  // frozen, so construct-generator programs are differentialed against the
-  // production Theorem-1 oracle instead: the flat-shadow ESP-bags fast
-  // path must agree on every race pair when futures join subtrees and
-  // isolated sections commute.
+  // The flat-shadow ESP-bags fast path must render the oracle's report
+  // when futures join subtrees and isolated sections commute.
   Rng SeedGen(31337);
   for (int Trial = 0; Trial != 15; ++Trial) {
     RandomProgramGen Gen(SeedGen.next());
@@ -411,8 +304,9 @@ TEST(ConstructShadow, EspBagsMatchesOracleOnConstructPrograms) {
     ASSERT_TRUE(Bags.ok()) << Bags.Exec.Error << "\n" << Src;
     Detection Oracle = detectRacesOracle(*P.Prog);
     ASSERT_TRUE(Oracle.ok()) << Oracle.Exec.Error << "\n" << Src;
-    EXPECT_EQ(pairIdSet(Bags.Report), pairIdSet(Oracle.Report)) << Src;
-    EXPECT_EQ(Bags.Report.RawCount, Oracle.Report.RawCount) << Src;
+    EXPECT_TRUE(agreesWithOracle(EspBagsDetector::Mode::MRW, Bags.Report,
+                                 Oracle))
+        << Src;
   }
 }
 
@@ -433,8 +327,9 @@ TEST(ConstructShadow, SparseHeapConstructProgramsAgreeWithOracle) {
     ASSERT_TRUE(Bags.ok()) << Bags.Exec.Error << "\n" << Src;
     Detection Oracle = detectRacesOracle(*P.Prog);
     ASSERT_TRUE(Oracle.ok()) << Oracle.Exec.Error << "\n" << Src;
-    EXPECT_EQ(pairIdSet(Bags.Report), pairIdSet(Oracle.Report)) << Src;
-    EXPECT_EQ(Bags.Report.RawCount, Oracle.Report.RawCount) << Src;
+    EXPECT_TRUE(agreesWithOracle(EspBagsDetector::Mode::MRW, Bags.Report,
+                                 Oracle))
+        << Src;
   }
 }
 

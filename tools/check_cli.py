@@ -1,17 +1,18 @@
 #!/usr/bin/env python3
-"""Validate the tdr CLI's option handling, focusing on backend selection.
+"""Validate the tdr CLI's option handling.
 
 The CLI's contract (see tools/tdr.cpp): garbage in any validated option —
-`--backend`, `TDR_BACKEND`, `--constructs`, `--workers`, `--procs` —
-exits 2 with a one-line diagnostic on stderr, before any input file is
-touched. A `--backend` flag that contradicts `TDR_BACKEND` in the
-environment is a conflict, not a silent precedence choice. Agreement (or
-either source alone) must run normally: `tdr races` exits 0 on a
-race-free input and 1 when races are found, and both count as success
-here. The `--constructs` allowlist is also exercised end to end: the
-default list forces a future on the pipeline program where that is
-strictly cheaper, while `--constructs finish` pins the paper's
-finish-only repair, and both outputs must be race free.
+`--constructs`, `--workers`, `--procs` — exits 2 with a one-line
+diagnostic on stderr, before any input file is touched, and so does an
+unknown flag such as the removed `--backend`. Valid invocations run
+normally: `tdr races` exits 0 on a race-free input and 1 when races are
+found, and both count as success here. The `--constructs` allowlist is
+also exercised end to end: the default list forces a future on the
+pipeline program where that is strictly cheaper, while `--constructs
+finish` pins the paper's finish-only repair, and both outputs must be race
+free. Finally a repair under TDR_BACKEND_CHECK=1 (every detection
+cross-checked against the Theorem-1 oracle) must produce the same program
+as an unchecked one.
 
 Invoked from CTest (see tools/CMakeLists.txt) but also usable standalone:
 
@@ -84,9 +85,8 @@ def check(cond, msg):
 
 
 def run(cmd, env_overrides=None):
-    """Runs cmd with a scrubbed backend environment plus overrides."""
+    """Runs cmd with TDR_BACKEND_CHECK scrubbed, plus overrides."""
     env = dict(os.environ)
-    env.pop("TDR_BACKEND", None)
     env.pop("TDR_BACKEND_CHECK", None)
     if env_overrides:
         env.update(env_overrides)
@@ -124,27 +124,14 @@ def main():
             f.write(RACY_PROGRAM)
         races = [tdr, "races", prog, "--arg", "6"]
 
-        # Rejections: exit 2 plus a diagnostic naming the offender.
-        expect_error(
-            "unknown --backend",
-            run([tdr, "races", prog, "--backend", "bogus"]),
-            "--backend expects 'espbags', 'vc', or 'par'",
-        )
-        expect_error(
-            "unknown TDR_BACKEND",
-            run(races, {"TDR_BACKEND": "warp-drive"}),
-            "TDR_BACKEND expects 'espbags', 'vc', or 'par'",
-        )
-        expect_error(
-            "flag/env conflict",
-            run(races + ["--backend", "vc"], {"TDR_BACKEND": "espbags"}),
-            "conflicts with TDR_BACKEND",
-        )
-        expect_error(
-            "flag/env conflict (reversed)",
-            run(races + ["--backend", "espbags"], {"TDR_BACKEND": "vc"}),
-            "conflicts with TDR_BACKEND",
-        )
+        # Rejections: exit 2 plus a diagnostic naming the offender. ESP-bags
+        # is the only detector, so there is no backend flag to accept.
+        for args in (["--backend", "vc"], ["--backend", "espbags"]):
+            expect_error(
+                f"removed flag {' '.join(args)}",
+                run(races + args),
+                "unknown option '--backend'",
+            )
         # Same convention for the numeric options.
         expect_error(
             "garbage --workers",
@@ -157,21 +144,7 @@ def main():
             "--procs expects a positive integer",
         )
 
-        # Acceptances: flag alone, env alone, and flag+env agreement all
-        # run the detection (exit 1 = races found on this racy input).
-        for backend in ("espbags", "vc", "par"):
-            expect_success(
-                f"--backend {backend}",
-                run(races + ["--backend", backend]),
-            )
-            expect_success(
-                f"TDR_BACKEND={backend}",
-                run(races, {"TDR_BACKEND": backend}),
-            )
-            expect_success(
-                f"--backend {backend} agreeing with env",
-                run(races + ["--backend", backend], {"TDR_BACKEND": backend}),
-            )
+        expect_success("races", run(races))
 
         # Repair-construct allowlists (--constructs): malformed lists are
         # rejected eagerly with the list parser's diagnostic, exit 2,
@@ -266,43 +239,38 @@ def main():
         )
         check(os.path.exists(report), "races --report: no report file")
 
-        # End to end: repair under each backend produces the same repaired
-        # program, and the repaired program is race free under the other.
+        # End to end: the repaired program is race free, and a repair with
+        # every detection cross-checked against the oracle produces the
+        # same program.
         outs = {}
-        for backend in ("espbags", "vc", "par"):
-            out = os.path.join(tmp, f"repaired-{backend}.hj")
+        for label, env in (("plain", None), ("checked", {"TDR_BACKEND_CHECK": "1"})):
+            out = os.path.join(tmp, f"repaired-{label}.hj")
             expect_success(
-                f"repair --backend {backend}",
-                run([tdr, "repair", prog, "--arg", "6", "--backend", backend,
-                     "-o", out]),
+                f"repair ({label})",
+                run([tdr, "repair", prog, "--arg", "6", "-o", out], env),
                 ok_codes=(0,),
             )
-            check(os.path.exists(out), f"repair --backend {backend}: no -o file")
+            check(os.path.exists(out), f"repair ({label}): no -o file")
             if os.path.exists(out):
                 with open(out) as f:
-                    outs[backend] = f.read()
-        if len(outs) == 3:
+                    outs[label] = f.read()
+        if len(outs) == 2:
             check(
-                outs["espbags"] == outs["vc"],
-                "repaired programs differ between espbags and vc",
+                outs["plain"] == outs["checked"],
+                "repaired programs differ with TDR_BACKEND_CHECK=1",
             )
-            check(
-                outs["espbags"] == outs["par"],
-                "repaired programs differ between espbags and par",
+            expect_success(
+                "repaired program race free",
+                run([tdr, "races", os.path.join(tmp, "repaired-plain.hj"),
+                     "--arg", "6"], {"TDR_BACKEND_CHECK": "1"}),
+                ok_codes=(0,),
             )
-            for backend in ("vc", "par"):
-                expect_success(
-                    f"repaired program race free under {backend}",
-                    run([tdr, "races", os.path.join(tmp, "repaired-espbags.hj"),
-                         "--arg", "6", "--backend", backend]),
-                    ok_codes=(0,),
-                )
 
     if FAILURES:
         for msg in FAILURES:
             print(f"check_cli: FAIL: {msg}", file=sys.stderr)
         return 1
-    print("check_cli: OK (backend/constructs/option validation behaves as "
+    print("check_cli: OK (constructs/option validation behaves as "
           "documented)")
     return 0
 

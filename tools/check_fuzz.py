@@ -21,7 +21,7 @@ import tempfile
 SCHEMA = "tdr-fuzz-summary"
 VERSION = 1
 KINDS = {"parse-error", "exec-error", "backend-mismatch", "replay-divergence",
-         "repair-disagree", "repair-not-converged"}
+         "repair-not-converged"}
 PROFILES = {"default", "constructs", "sparse"}
 
 FAILURES = []
@@ -35,10 +35,9 @@ def check(cond, msg):
 
 def run(cmd):
     env = dict(os.environ)
-    # The fuzzer pins backends itself; a leaking differential env var must
+    # The fuzzer pins its legs itself; a leaking differential env var must
     # not change what the oracle runs.
-    for var in ("TDR_BACKEND", "TDR_BACKEND_CHECK", "TDR_REPLAY_CHECK",
-                "TDR_LOG_SPILL"):
+    for var in ("TDR_BACKEND_CHECK", "TDR_REPLAY_CHECK", "TDR_LOG_SPILL"):
         env.pop(var, None)
     return subprocess.run(cmd, capture_output=True, text=True, env=env)
 

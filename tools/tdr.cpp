@@ -55,23 +55,23 @@ int usage() {
   std::fprintf(
       stderr,
       "usage: tdr <command> [options]\n"
-      "  tdr repair  prog.hj [--arg N]... [--srw] [--backend B] [--no-replay]"
+      "  tdr repair  prog.hj [--arg N]... [--srw] [--no-replay]"
       " [--constructs L] [-o out.hj]\n"
-      "  tdr races   prog.hj [--arg N]... [--srw] [--backend B]\n"
+      "  tdr races   prog.hj [--arg N]... [--srw]\n"
       "  tdr run     prog.hj [--arg N]... [--workers K]\n"
       "  tdr stats   prog.hj [--arg N]... [--procs P]\n"
       "  tdr dot     prog.hj [--arg N]...\n"
       "  tdr coverage prog.hj --arg N [--arg M]... (one input per --arg)\n"
-      "  tdr batch   manifest [--jobs N] [--srw] [--backend B] [--no-replay]"
+      "  tdr batch   manifest [--jobs N] [--srw] [--no-replay]"
       " [--constructs L] [-o outdir]\n"
       "              manifest lines: <prog.hj> [int args...]\n"
       "  tdr fuzz    [--programs N] [--jobs N] [--seed S] [--summary FILE]\n"
       "              [--trophy-dir DIR] [--time-budget SEC] [--no-reduce]\n"
       "              [--no-repair]\n"
-      "              differential fuzz farm: random programs through every\n"
-      "              backend fresh + replayed and the repair loop; findings\n"
-      "              are ddmin-minimized and persisted as trophies. Exit 0\n"
-      "              when clean, 1 on findings\n"
+      "              differential fuzz farm: random programs through ESP-bags\n"
+      "              and the oracle, fresh + replayed, and the repair loop;\n"
+      "              findings are ddmin-minimized and persisted as\n"
+      "              trophies. Exit 0 when clean, 1 on findings\n"
       "  tdr explain report.json   pretty-print a --report document\n"
       "  tdr dump    <benchmark>   (e.g. Mergesort; see bench_table1)\n"
       "observability (any command):\n"
@@ -83,15 +83,11 @@ int usage() {
       "                       race witnesses, finish provenance, stats as\n"
       "                       schema-versioned JSON; read it back with\n"
       "                       'tdr explain'\n"
-      "detection options:\n"
-      "  --backend B          race-detection backend: 'espbags' (default),\n"
-      "                       'vc' (vector clocks), or 'par' (partitioned\n"
-      "                       parallel log detection; TDR_PAR_WORKERS sets\n"
-      "                       its worker count); TDR_BACKEND in the\n"
-      "                       environment selects the same default, and\n"
-      "                       TDR_BACKEND_CHECK=1 cross-checks every\n"
-      "                       detection against a second backend,\n"
-      "                       requiring identical race reports\n"
+      "detection:\n"
+      "  --srw                SRW ESP-bags instead of MRW (paper 4.1);\n"
+      "                       TDR_BACKEND_CHECK=1 in the environment\n"
+      "                       cross-checks every detection against the\n"
+      "                       Theorem-1 oracle\n"
       "repair options:\n"
       "  --no-replay          re-interpret the test input on every repair\n"
       "                       iteration instead of replaying the recorded\n"
@@ -122,9 +118,6 @@ struct Options {
   bool NoRepair = false;
   std::string SummaryFile;
   std::string TrophyDir = "fuzz-trophies";
-  /// Resolved detection backend (--backend flag / TDR_BACKEND env; the
-  /// flag and the environment must agree — see resolveBackend).
-  DetectBackend Backend = DetectBackend::EspBags;
   /// Repair-construct allowlist (--constructs), parsed eagerly so a bad
   /// list exits 2 like every other malformed flag value.
   unsigned Constructs = constructs::Default;
@@ -164,43 +157,7 @@ bool parseSeed(const char *Flag, const char *Text, uint64_t &Out) {
   return true;
 }
 
-/// Resolves the detection backend from the --backend flag value (empty =
-/// not given) and the TDR_BACKEND environment variable, diagnosing
-/// unknown names and flag/environment conflicts — same exit-2-on-garbage
-/// convention as the --workers/--procs validation.
-bool resolveBackend(const std::string &Flag, Options &O) {
-  bool FlagSet = !Flag.empty();
-  DetectBackend FromFlag = DetectBackend::EspBags;
-  if (FlagSet && !parseDetectBackend(Flag, FromFlag)) {
-    std::fprintf(stderr,
-                 "error: --backend expects 'espbags', 'vc', or 'par', "
-                 "got '%s'\n",
-                 Flag.c_str());
-    return false;
-  }
-  const char *Env = std::getenv("TDR_BACKEND");
-  bool EnvSet = Env && *Env;
-  DetectBackend FromEnv = DetectBackend::EspBags;
-  if (EnvSet && !parseDetectBackend(Env, FromEnv)) {
-    std::fprintf(stderr,
-                 "error: TDR_BACKEND expects 'espbags', 'vc', or 'par', "
-                 "got '%s'\n",
-                 Env);
-    return false;
-  }
-  if (FlagSet && EnvSet && FromFlag != FromEnv) {
-    std::fprintf(stderr,
-                 "error: --backend %s conflicts with TDR_BACKEND=%s in the "
-                 "environment\n",
-                 Flag.c_str(), Env);
-    return false;
-  }
-  O.Backend = FlagSet ? FromFlag : FromEnv;
-  return true;
-}
-
 bool parseOptions(int Argc, char **Argv, Options &O, bool RequireFile) {
-  std::string Backend;
   for (int I = 0; I != Argc; ++I) {
     if (!std::strcmp(Argv[I], "--arg") && I + 1 != Argc) {
       O.Args.push_back(std::atoll(Argv[++I]));
@@ -225,8 +182,6 @@ bool parseOptions(int Argc, char **Argv, Options &O, bool RequireFile) {
       O.SummaryFile = Argv[++I];
     } else if (!std::strcmp(Argv[I], "--trophy-dir") && I + 1 != Argc) {
       O.TrophyDir = Argv[++I];
-    } else if (!std::strcmp(Argv[I], "--backend") && I + 1 != Argc) {
-      Backend = Argv[++I];
     } else if (!std::strcmp(Argv[I], "--constructs") && I + 1 != Argc) {
       std::string Err;
       if (!parseConstructList(Argv[++I], O.Constructs, Err)) {
@@ -251,7 +206,6 @@ bool parseOptions(int Argc, char **Argv, Options &O, bool RequireFile) {
     } else if (!std::strcmp(Argv[I], "--report") && I + 1 != Argc) {
       O.ReportFile = Argv[++I];
     } else if (!std::strcmp(Argv[I], "--arg") ||
-               !std::strcmp(Argv[I], "--backend") ||
                !std::strcmp(Argv[I], "--constructs") ||
                !std::strcmp(Argv[I], "--workers") ||
                !std::strcmp(Argv[I], "--jobs") ||
@@ -279,8 +233,6 @@ bool parseOptions(int Argc, char **Argv, Options &O, bool RequireFile) {
       return false;
     }
   }
-  if (!resolveBackend(Backend, O))
-    return false;
   if (!RequireFile && !O.File.empty()) {
     std::fprintf(stderr, "unexpected argument '%s'\n", O.File.c_str());
     return false;
@@ -346,7 +298,6 @@ diag::JobReport jobReportFromRepair(std::string Name, std::vector<int64_t> Args,
 diag::RunReport makeRunReport(const char *Tool, const Options &O) {
   diag::RunReport Rep;
   Rep.Tool = Tool;
-  Rep.Backend = detectBackendName(O.Backend);
   Rep.Mode = O.Srw ? "srw" : "mrw";
   return Rep;
 }
@@ -372,7 +323,6 @@ int cmdRepair(const Options &O) {
   RepairOptions Opts;
   Opts.Mode =
       O.Srw ? EspBagsDetector::Mode::SRW : EspBagsDetector::Mode::MRW;
-  Opts.Backend = O.Backend;
   Opts.Exec = execOptions(O);
   Opts.UseReplay = !O.NoReplay;
   Opts.Constructs = O.Constructs;
@@ -422,7 +372,6 @@ int cmdRaces(const Options &O) {
     return 1;
   DetectOptions Detect;
   Detect.Mode = O.Srw ? EspBagsDetector::Mode::SRW : EspBagsDetector::Mode::MRW;
-  Detect.Backend = O.Backend;
   ExecOptions Exec = execOptions(O);
   // With --report, record the event stream alongside detection so witness
   // access sites can be refined to the exact statement (not just the step).
@@ -528,7 +477,7 @@ int cmdStats(const Options &O) {
   if (!load(O.File, L))
     return 1;
   Detection D = detectRaces(
-      *L.Prog, DetectOptions{EspBagsDetector::Mode::SRW, O.Backend},
+      *L.Prog, DetectOptions{EspBagsDetector::Mode::SRW},
       execOptions(O));
   if (!D.ok()) {
     std::fprintf(stderr, "execution failed: %s\n", D.Exec.Error.c_str());
@@ -553,7 +502,7 @@ int cmdDot(const Options &O) {
   if (!load(O.File, L))
     return 1;
   Detection D = detectRaces(
-      *L.Prog, DetectOptions{EspBagsDetector::Mode::SRW, O.Backend},
+      *L.Prog, DetectOptions{EspBagsDetector::Mode::SRW},
       execOptions(O));
   if (!D.ok()) {
     std::fprintf(stderr, "execution failed: %s\n", D.Exec.Error.c_str());
@@ -626,7 +575,6 @@ bool loadManifest(const Options &O, std::vector<RepairJob> &Jobs) {
     J.Source = SS.str();
     J.Opts.Mode =
         O.Srw ? EspBagsDetector::Mode::SRW : EspBagsDetector::Mode::MRW;
-    J.Opts.Backend = O.Backend;
     J.Opts.UseReplay = !O.NoReplay;
     J.Opts.Constructs = O.Constructs;
     J.Opts.CollectDiag = !O.ReportFile.empty();
